@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands: load, query [--training], explain, datagen, monitor
-dump|stats, repl. Catalog contents persist between invocations as a
-snapshot under the configured data directory; the monitor log persists
-on its own as an append-only file.
+dump|stats [structure], repl. Catalog contents persist between
+invocations as a snapshot under the configured data directory; the
+monitor log persists on its own as an append-only file.
 
 Exit codes: 0 success; 2 query/input error; 3 internal-consistency error.
 """
@@ -45,9 +45,11 @@ class Config:
     def __post_init__(self):
         if not self.monitor_log:
             self.monitor_log = os.path.join(self.data_dir, "monitor.log")
-        weights = self.w_structure + self.w_objects + self.w_constants
-        if abs(weights - 1.0) > 1e-9:
+        weights = (self.w_structure, self.w_objects, self.w_constants)
+        if abs(sum(weights) - 1.0) > 1e-9:
             raise PolydawgError("similarity weights must sum to 1")
+        if min(weights) < 0.0:
+            raise PolydawgError("similarity weights must be non-negative")
         if self.plan_cap < 1:
             raise PolydawgError("plan cap must be >= 1")
         if not 0.0 < self.similarity_threshold <= 1.0:
@@ -94,6 +96,10 @@ def build_system(config):
     weights = (config.w_structure, config.w_objects, config.w_constants)
     os.makedirs(os.path.dirname(config.monitor_log) or ".", exist_ok=True)
     db = MonitorDB(config.monitor_log, weights=weights)
+    if db.torn_tail:
+        print(f"warning: dropped an incomplete final record "
+              f"({len(db.torn_tail)} bytes) from {config.monitor_log}",
+              file=sys.stderr)
     sys_config = SystemConfig(
         similarity_threshold=config.similarity_threshold,
         usage_bound=config.usage_bound, plan_cap=config.plan_cap,
@@ -151,6 +157,8 @@ def _print_report(report):
             print(f"trained-plan = {pid} {ms:.3f}")
     if report.case:
         print(f"case = {report.case}")
+        score = report.match_score
+        print(f"match-score = {'none' if score is None else f'{score:.3f}'}")
         if report.case == "random":
             print("note = untrained signature; randomly selected plan")
     for w in report.warnings:
@@ -213,8 +221,14 @@ def cmd_monitor(system, config, args):
             print(line)
         return EXIT_OK
     if not args.structure:
-        print("error: monitor stats needs a structure hash", file=sys.stderr)
-        return EXIT_QUERY_ERROR
+        for row in system.monitor.stats():
+            mean = row["mean_runtime_ms"]
+            print("\t".join([
+                row["structure"], ",".join(row["objects"]), str(row["runs"]),
+                str(row["plans"]), row["best_plan"] or "-",
+                "-" if mean is None else f"{mean:.3f}",
+            ]))
+        return EXIT_OK
     means = system.monitor.plan_means(args.structure)
     for pid in sorted(means, key=lambda p: (means[p], p)):
         print(f"{pid}\t{means[pid]:.3f}")

@@ -13,7 +13,7 @@ a per-step delay model instead of waiting on wall time.
 
 import random
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from . import monitor as mon
@@ -73,17 +73,31 @@ class StepDelayModel:
 
 
 class UsageTracker:
-    """Busy intervals per engine; reports busy fractions over a window."""
+    """Busy intervals per engine; reports busy fractions over the last
+    ``window`` seconds.
 
-    def __init__(self):
-        self.intervals = defaultdict(list)  # engine -> [(start, end)]
+    An interval that ended more than ``window`` before the newest end
+    recorded is dropped, so memory stays bounded and fractions are exact
+    for any ``now`` at or after that newest end.
+    """
+
+    def __init__(self, window):
+        self.window = window
+        self.intervals = defaultdict(deque)  # engine -> (start, end) as added
+        self._newest_end = float("-inf")
 
     def add(self, engine, start, end):
-        if end > start:
-            self.intervals[engine].append((start, end))
+        if end <= start:
+            return
+        self._newest_end = max(self._newest_end, end)
+        spans = self.intervals[engine]
+        spans.append((start, end))
+        cutoff = self._newest_end - self.window
+        while spans and spans[0][1] < cutoff:
+            spans.popleft()
 
-    def busy_fraction(self, engine, now, window):
-        lo = now - window
+    def busy_fraction(self, engine, now):
+        lo = now - self.window
         spans = []
         for start, end in self.intervals.get(engine, ()):
             s, e = max(start, lo), min(end, now)
@@ -100,7 +114,7 @@ class UsageTracker:
                 cur[1] = max(cur[1], e)
         if cur:
             busy += cur[1] - cur[0]
-        return min(busy / window, 1.0)
+        return min(busy / self.window, 1.0)
 
 
 @dataclass
@@ -131,6 +145,10 @@ class QueryReport:
     runtime_ms: float
     phase: str
     case: str = ""  # production: matched | usage-alternate | retrain-recommended | random
+    # production: the nearest recorded signature and its similarity score;
+    # None when the history is empty
+    match: object = None
+    match_score: float = None
     runs: list = field(default_factory=list)  # training: (plan id, ms)
     warnings: list = field(default_factory=list)
 
@@ -146,7 +164,7 @@ class System:
         self.config = config or SystemConfig()
         self.clock = clock or WallClock()
         self.delay = delay_model or StepDelayModel()
-        self.usage = UsageTracker()
+        self.usage = UsageTracker(self.config.usage_window_s)
         self.rng = random.Random(self.config.seed)
         self._last_foreground_end = float("-inf")
         self._virtual = not isinstance(self.clock, WallClock)
@@ -175,8 +193,7 @@ class System:
     def current_usage(self):
         now = self.clock.now()
         return {
-            engine: self.usage.busy_fraction(engine, now,
-                                             self.config.usage_window_s)
+            engine: self.usage.busy_fraction(engine, now)
             for engine in self.catalog.engines
         }
 
@@ -337,7 +354,9 @@ class System:
         ))
         return QueryReport(result=result, plan_id=plan.id,
                            runtime_ms=runtime_ms, phase="production",
-                           case=case, warnings=warnings)
+                           case=case, match=near,
+                           match_score=None if near is None else score,
+                           warnings=warnings)
 
     # --- background training ---------------------------------------------------------
 

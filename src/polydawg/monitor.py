@@ -8,7 +8,22 @@ percent-escaped so tabs/newlines in payloads cannot corrupt framing:
 
 ``objects`` and ``constants`` join their elements with ';'; ``usage`` is
 ``engine=busyfraction`` pairs joined with ','. Reopening a log replays
-every line, so history survives restarts byte-for-byte.
+every line, so history survives restarts byte-for-byte. A final line
+without its newline is an append that was cut short: replay drops it and
+truncates the log to the last complete line.
+
+``MonitorDB.nearest`` finds the most similar recorded signature without
+scoring every one. Signatures are bucketed by structure hash, object set
+and number of distinct constants. A member shares at most the smaller of
+its own and the probe's constant counts, out of at least the larger, which
+bounds the similarity of every member of a bucket; buckets are visited in
+order of that bound until it falls below the best score found. Inside a
+bucket an inverted index from each constant to its members gives the
+shared-constant count of every member that overlaps the probe. Members
+with equal counts score the same, so only the most recent can win, and the
+bucket's most recent member stands in for those that share no constant
+beyond the ones every member holds. The result equals scoring every
+signature, ties to the most recent included.
 """
 
 import os
@@ -28,17 +43,6 @@ SIMILARITY_THRESHOLD = 0.8
 USAGE_DIFFERENCE_BOUND = 0.5
 
 _FIELDS = 8
-
-
-@dataclass(frozen=True)
-class UsageSnapshot:
-    busy: dict  # engine id -> busy fraction, clamped to [0, 1]
-    active_queries: int
-    ts: float
-
-    def __post_init__(self):
-        clamped = {e: min(max(f, 0.0), 1.0) for e, f in self.busy.items()}
-        object.__setattr__(self, "busy", clamped)
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,18 @@ def jaccard(a, b):
     return len(a & b) / len(a | b)
 
 
-def similarity(sig_a, sig_b, weights=None):
-    """Weighted signature similarity in [0, 1]."""
+def _weighted(weights, same_structure, objects, constants):
     ws, wo, wc = weights or (W_STRUCTURE, W_OBJECTS, W_CONSTANTS)
-    structure = 1.0 if sig_a.structure == sig_b.structure else 0.0
-    objects = jaccard(sig_a.objects, sig_b.objects)
-    constants = jaccard(set(sig_a.constants), set(sig_b.constants))
+    structure = 1.0 if same_structure else 0.0
     # rounding keeps weight sums exact (0.6 + 0.3 is 0.9, not 0.8999...)
     return round(ws * structure + wo * objects + wc * constants, 12)
+
+
+def similarity(sig_a, sig_b, weights=None):
+    """Weighted signature similarity in [0, 1]."""
+    return _weighted(weights, sig_a.structure == sig_b.structure,
+                     jaccard(sig_a.objects, sig_b.objects),
+                     jaccard(set(sig_a.constants), set(sig_b.constants)))
 
 
 def usage_differs(usage_a, usage_b, bound=USAGE_DIFFERENCE_BOUND):
@@ -119,29 +127,100 @@ def usage_differs(usage_a, usage_b, bound=USAGE_DIFFERENCE_BOUND):
     return False
 
 
+class _Bucket:
+    """The signatures that share a structure hash, an object set and a
+    number of distinct constants."""
+
+    def __init__(self, structure, objects, size):
+        self.structure = structure
+        self.objects = objects
+        self.size = size
+        self.members = 0
+        self.postings = defaultdict(list)  # constant -> members holding it
+        self.latest = None  # the most recently recorded member
+
+    def add(self, signature, constants):
+        self.members += 1
+        for constant in constants:
+            self.postings[constant].append(signature)
+
+    def bound(self, signature, probe, weights):
+        """The highest similarity any member can have to ``signature``,
+        whose distinct constants are ``probe``: members share at most
+        ``min`` of the two constant counts, out of at least ``max``."""
+        most = max(len(probe), self.size)
+        return _weighted(weights, self.structure == signature.structure,
+                         jaccard(self.objects, signature.objects),
+                         min(len(probe), self.size) / most if most else 1.0)
+
+    def shared_counts(self, probe):
+        """(common, counts): ``common`` is how many probe constants every
+        member holds; ``counts`` maps each member that shares any other
+        probe constant to how many of those it shares, and the most recent
+        member, which stands in for the members that share none, to its
+        count too. Constants every member holds are counted once, not
+        walked."""
+        common, counts = 0, {}
+        for constant in probe:
+            posting = self.postings.get(constant)
+            if posting is None:
+                continue
+            if len(posting) == self.members:
+                common += 1
+                continue
+            for sig in posting:
+                counts[sig] = counts.get(sig, 0) + 1
+        counts.setdefault(self.latest, 0)
+        return common, counts
+
+
 class MonitorDB:
-    """Append-only performance log plus the in-memory pending queue."""
+    """Append-only performance log plus the in-memory pending queue.
+
+    ``weights`` are the (structure, objects, constants) similarity
+    weights, each non-negative; None means the module defaults.
+    """
 
     def __init__(self, path=None, weights=None):
         self.path = path
         self.weights = weights
         self.records = []
         self._by_sig = defaultdict(list)  # signature -> record indexes
+        self._buckets = {}  # (structure, objects, constant count) -> _Bucket
+        self._bucket_of = {}  # signature -> its _Bucket
         self.pending = []  # (signature, plan, context) awaiting background run
+        self.torn_tail = ""  # the incomplete final line replay dropped
         if path and os.path.exists(path):
             self._replay()
 
     def _replay(self):
-        with open(self.path, encoding="ascii") as fh:
+        complete = 0  # characters (ASCII, so bytes) in complete lines
+        with open(self.path, encoding="ascii", newline="\n") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                self._index(_parse_line(line, lineno))
+                if not line.endswith("\n"):
+                    self.torn_tail = line
+                    break
+                complete += len(line)
+                if line != "\n":
+                    self._index(_parse_line(line[:-1], lineno))
+        if self.torn_tail:
+            # the next append must start on a fresh line
+            os.truncate(self.path, complete)
 
     def _index(self, record):
-        self._by_sig[record.signature].append(len(self.records))
+        sig = record.signature
+        self._by_sig[sig].append(len(self.records))
         self.records.append(record)
+        bucket = self._bucket_of.get(sig)
+        if bucket is None:
+            constants = set(sig.constants)
+            key = (sig.structure, sig.objects, len(constants))
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = self._buckets[key] = _Bucket(*key)
+            bucket.add(sig, constants)
+            self._bucket_of[sig] = bucket
+        bucket.latest = sig
 
     def record(self, record):
         """Index a record and append it durably to the log."""
@@ -163,15 +242,36 @@ class MonitorDB:
     def nearest(self, signature):
         """(signature, similarity) of the closest recorded signature; ties
         go to the signature recorded most recently."""
-        best = None
-        for sig, idxs in self._by_sig.items():
-            score = similarity(signature, sig, self.weights)
-            recency = max(idxs)
-            if best is None or (score, recency) > (best[1], best[2]):
-                best = (sig, score, recency)
+        probe = set(signature.constants)
+        ranked = sorted(
+            ((b.bound(signature, probe, self.weights), b)
+             for b in self._buckets.values()),
+            key=lambda pair: pair[0], reverse=True)
+        best = None  # (score, recency, signature)
+        for bound, bucket in ranked:
+            # '<', not '<=': an equal score can still win on recency
+            if best is not None and bound < best[0]:
+                break
+            common, counts = bucket.shared_counts(probe)
+            # members sharing as many constants score the same, so only
+            # the most recent of them can win
+            by_shared = {}  # shared count -> (recency, member)
+            for sig, shared in counts.items():
+                candidate = (self._by_sig[sig][-1], sig)
+                if candidate > by_shared.get(shared, (-1,)):
+                    by_shared[shared] = candidate
+            same = bucket.structure == signature.structure
+            objects = jaccard(bucket.objects, signature.objects)
+            for shared, (recency, sig) in by_shared.items():
+                shared += common
+                union = len(probe) + bucket.size - shared
+                score = _weighted(self.weights, same, objects,
+                                  shared / union if union else 1.0)
+                if best is None or (score, recency) > best[:2]:
+                    best = (score, recency, sig)
         if best is None:
             return None, 0.0
-        return best[0], best[1]
+        return best[2], best[0]
 
     def best_plan(self, signature):
         """Plan id with the lowest mean runtime over successful runs; ties
@@ -213,13 +313,6 @@ class MonitorDB:
             return None
         means = {pid: sum(v) / len(v) for pid, v in runtimes.items()}
         return min(means, key=lambda pid: (means[pid], pid))
-
-    def plan_ids(self, signature):
-        seen = []
-        for rec in self.records_for(signature):
-            if rec.plan_id not in seen and rec.phase != "failed":
-                seen.append(rec.plan_id)
-        return seen
 
     # --- pending queue -------------------------------------------------------
 

@@ -71,7 +71,7 @@ def test_training_then_production_via_cli(workspace, capsys):
     code, out, _ = run(["query", text], capsys)
     assert code == 0
     assert "phase = production" in out
-    assert "case = matched" in out
+    assert "case = matched\nmatch-score = 1.000\n" in out
 
 
 def test_untrained_production_notes_random_choice(workspace, capsys):
@@ -79,7 +79,7 @@ def test_untrained_production_notes_random_choice(workspace, capsys):
     code, out, _ = run(
         ["query", "text(grep(notes, 'sedated'))"], capsys)
     assert code == 0
-    assert "case = random" in out
+    assert "case = random\nmatch-score = none\n" in out
     assert "note = untrained signature; randomly selected plan" in out
 
 
@@ -98,8 +98,35 @@ def test_explain_and_monitor_commands(workspace, capsys):
     structure = lines[0].split("\t")[2][:12]
     code, out, _ = run(["monitor", "stats", structure], capsys)
     assert code == 0 and out.strip()
-    code, _, err = run(["monitor", "stats"], capsys)
-    assert code == 2 and "structure" in err
+
+    run(["query", "relational(SELECT id FROM patients)"], capsys)
+    code, out, _ = run(["monitor", "stats"], capsys)
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 2  # one per signature
+    assert rows[0][:2] == [structure, "kv.notes"]
+    assert rows[1][1] == "rel.patients"
+    assert all(len(row) == 6 and row[2] == "1" for row in rows)
+
+
+def test_torn_monitor_log_is_repaired_and_reported_once(workspace, capsys):
+    seed_dataset(workspace, capsys)
+    run(["query", "--training", "text(grep(notes, 'stable'))"], capsys)
+    run(["query", "text(grep(notes, 'fever'))"], capsys)
+    log = workspace / "polydawg_data" / "monitor.log"
+    whole = log.read_bytes()
+    log.write_bytes(whole[:-5])  # the second append was cut short
+
+    code, out, err = run(["monitor", "dump"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    assert "warning: dropped an incomplete final record" in err
+    assert log.read_bytes() == whole[:whole.index(b"\n") + 1]
+
+    code, out, err = run(["query", "text(grep(notes, 'fever'))"], capsys)
+    assert code == 0 and err == ""
+    code, out, _ = run(["monitor", "dump"], capsys)
+    assert len(out.splitlines()) == 2
 
 
 def test_syntax_errors_print_carets_and_exit_2(workspace, capsys):
@@ -142,6 +169,10 @@ def test_config_file_controls_the_system(workspace, capsys):
     (workspace / "bad.conf").write_text("w_structure = 0.9\n")
     code, _, err = run(["--config", "bad.conf", "monitor", "dump"], capsys)
     assert code == 2 and "weights" in err
+    (workspace / "bad.conf").write_text(
+        "w_structure = 1.2\nw_objects = -0.3\n")
+    code, _, err = run(["--config", "bad.conf", "monitor", "dump"], capsys)
+    assert code == 2 and "non-negative" in err
 
 
 def test_repl_runs_lines_and_directives(workspace, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import bisect
+import random
+
 import pytest
 
 import generators
@@ -39,14 +42,56 @@ def test_virtual_clock_and_delay_model():
 
 
 def test_usage_tracker_merges_overlapping_intervals():
-    tracker = UsageTracker()
-    tracker.add("rel", 0.0, 4.0)
-    tracker.add("rel", 2.0, 6.0)  # overlap must not double-count
-    assert tracker.busy_fraction("rel", 10.0, 10.0) == pytest.approx(0.6)
-    assert tracker.busy_fraction("rel", 10.0, 2.0) == 0.0
-    assert tracker.busy_fraction("kv", 10.0, 10.0) == 0.0
+    tracker, short = UsageTracker(10.0), UsageTracker(2.0)
+    for t in (tracker, short):
+        t.add("rel", 0.0, 4.0)
+        t.add("rel", 2.0, 6.0)  # overlap must not double-count
+    assert tracker.busy_fraction("rel", 10.0) == pytest.approx(0.6)
+    assert short.busy_fraction("rel", 10.0) == 0.0
+    assert tracker.busy_fraction("kv", 10.0) == 0.0
     tracker.add("kv", 0.0, 100.0)
-    assert tracker.busy_fraction("kv", 50.0, 10.0) == 1.0
+    assert tracker.busy_fraction("kv", 50.0) == 1.0
+
+
+def unpruned_busy_fraction(intervals, ends, now, window):
+    """Busy fraction over every interval ever added, merged naively.
+    ``intervals`` are in order of their ``ends``, so the ones that can
+    reach into the window are found by bisection."""
+    lo = now - window
+    first = bisect.bisect_left(ends, lo)
+    spans = sorted((max(s, lo), min(e, now)) for s, e in intervals[first:]
+                   if min(e, now) > max(s, lo))
+    busy, cur = 0.0, None
+    for s, e in spans:
+        if cur is None or s > cur[1]:
+            if cur:
+                busy += cur[1] - cur[0]
+            cur = [s, e]
+        else:
+            cur[1] = max(cur[1], e)
+    if cur:
+        busy += cur[1] - cur[0]
+    return min(busy / window, 1.0)
+
+
+def test_usage_tracker_stays_bounded_and_exact():
+    rng = random.Random(3)
+    clock = VirtualClock()
+    tracker = UsageTracker(10.0)
+    everything = {"rel": ([], []), "kv": ([], [])}  # intervals, ends
+    for _ in range(10000):
+        engine = rng.choice(["rel", "kv"])
+        start = clock.now()
+        clock.advance(rng.uniform(0.0, 0.2))
+        tracker.add(engine, start, clock.now())
+        everything[engine][0].append((start, clock.now()))
+        everything[engine][1].append(clock.now())
+        clock.advance(rng.uniform(0.0, 0.1))
+        for e, (intervals, ends) in everything.items():
+            assert tracker.busy_fraction(e, clock.now()) == \
+                unpruned_busy_fraction(intervals, ends, clock.now(), 10.0)
+    # steps average 0.15 s, so a 10 s window holds about 70 intervals
+    assert max(len(v) for v in tracker.intervals.values()) < 200
 
 
 def test_training_records_every_plan_and_picks_the_fastest():
@@ -93,6 +138,7 @@ def test_production_untrained_is_seeded_random_and_enqueues_rest():
         system = fresh_system(seed=seed)
         report = system.run_production(MATMUL)
         assert report.case == "random"
+        assert report.match is None and report.match_score is None
         picks.add(report.plan_id)
         assert len(system.monitor.pending) == 2
         # same seed repeats the same choice
@@ -113,6 +159,27 @@ def test_production_after_training_runs_best_plan():
     assert report.case == "matched"
     assert report.plan_id == trained.plan_id
     assert report.runtime_ms == pytest.approx(50.0)
+    assert report.match == system.plan_query(MATMUL).signature
+    assert report.match_score == 1.0
+    assert trained.match is None and trained.match_score is None
+
+
+def test_production_reports_a_close_match_and_its_score():
+    system = fresh_system()
+    system.run_training("relational(SELECT id FROM patients WHERE age > 50)")
+    trained = system.monitor.records[-1].signature
+    report = system.run_production(
+        "relational(SELECT id FROM patients WHERE age > 60)")
+    # same structure and objects, disjoint constants
+    assert report.case == "matched"
+    assert report.match == trained and report.match_score == 0.9
+    # another single-engine query shares only the structure (the empty
+    # remainder), which scores below the threshold; the tie goes to the
+    # newest signature
+    latest = system.monitor.records[-1].signature
+    report = system.run_production("text(grep(notes, 'fever'))")
+    assert report.case == "random"
+    assert report.match == latest and report.match_score == 0.6
 
 
 def test_production_under_skewed_usage_warns_or_reroutes():

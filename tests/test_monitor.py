@@ -2,7 +2,7 @@ import pytest
 
 from polydawg.errors import MonitorError
 from polydawg.monitor import (
-    MonitorDB, PerfRecord, UsageSnapshot, jaccard, similarity, usage_differs,
+    MonitorDB, PerfRecord, jaccard, similarity, usage_differs,
 )
 from polydawg.planner import Signature
 
@@ -44,11 +44,6 @@ def test_usage_differs_bound_is_exclusive():
     assert usage_differs({"rel": 0.0, "kv": 0.9}, {"rel": 0.1}, bound=0.5)
 
 
-def test_usage_snapshot_clamps():
-    snap = UsageSnapshot({"rel": 1.7, "kv": -0.2}, 1, 0.0)
-    assert snap.busy == {"rel": 1.0, "kv": 0.0}
-
-
 def test_record_and_replay_round_trip(tmp_path):
     path = str(tmp_path / "monitor.log")
     db = MonitorDB(path)
@@ -68,6 +63,35 @@ def test_replay_rejects_corrupt_lines(tmp_path):
     path.write_text("only\tthree\tfields\n")
     with pytest.raises(MonitorError):
         MonitorDB(str(path))
+    # a corrupt complete line fails wherever it is, even before a torn one
+    path = tmp_path / "good.log"
+    MonitorDB(str(path)).record(rec())
+    good = path.read_text()
+    for text in (good + "bad\tline\n", "bad\tline\n" + good,
+                 "bad\tline\n" + good[:-3]):
+        path.write_text(text)
+        with pytest.raises(MonitorError):
+            MonitorDB(str(path))
+
+
+def test_replay_drops_a_torn_final_line(tmp_path):
+    path = tmp_path / "monitor.log"
+    db = MonitorDB(str(path))
+    db.record(rec(ts=1.0))
+    db.record(rec(ts=2.0, plan_id="p2"))
+    whole = path.read_bytes()
+    # a crash in the middle of the second append
+    path.write_bytes(whole[:len(whole) - 9])
+
+    again = MonitorDB(str(path))
+    assert again.records == db.records[:1]
+    assert again.torn_tail
+    first_line = whole[:whole.index(b"\n") + 1]
+    assert path.read_bytes() == first_line
+    again.record(rec(ts=3.0, plan_id="p3"))
+    reopened = MonitorDB(str(path))
+    assert reopened.torn_tail == ""
+    assert [r.plan_id for r in reopened.records] == ["p1", "p3"]
 
 
 def test_nearest_prefers_similarity_then_recency():
@@ -93,7 +117,6 @@ def test_best_plan_mean_and_ties():
     assert db.best_plan(s) == "a"
     db.record(rec(phase="failed", plan_id="z", runtime_ms=0.0))
     assert db.best_plan(s) == "a"  # failures are excluded
-    assert db.plan_ids(s) == ["b", "c", "a"]
     assert db.best_plan(sig(structure="nope")) is None
 
 
