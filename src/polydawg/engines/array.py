@@ -15,7 +15,7 @@ from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMisma
 from ..values import INT, REAL, TEXT, is_numeric_tag
 from .base import Engine
 from .keyvalue import SEMIRINGS, entries_to_table, _result_tag
-from .relational import _Scope, _eval_pred  # predicate reuse for FILTER
+from .relational import compile_predicate
 
 
 @dataclass
@@ -159,15 +159,9 @@ class ArrayEngine(Engine):
         pred = sql.parse_pred(cur)
         self._finish(cur)
         schema = arr.export_schema()
-        stmt = sql.SelectStmt(None, sql.TableRef(arr.name, None), None,
-                              None, [], [], None)
-        scope = _Scope(stmt, {arr.name: (schema, [])})
-        rows = []
-        for coords, attrs in sorted(arr.cells.items()):
-            row = coords + attrs
-            if _eval_pred(pred, row, scope):
-                rows.append(row)
-        return CanonicalTable(schema, rows)
+        keep = compile_predicate(pred, arr.name, schema)
+        rows = [coords + attrs for coords, attrs in sorted(arr.cells.items())]
+        return CanonicalTable(schema, [row for row in rows if keep(row)])
 
     def _agg(self, cur):
         fn = cur.expect_ident("aggregate function").lower

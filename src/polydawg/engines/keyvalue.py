@@ -26,9 +26,6 @@ class AssociativeArray:
     entries: dict  # (row-key, col-key) -> value
     val_tag: str = REAL
 
-    def sorted_entries(self):
-        return sorted(self.entries.items())
-
 
 def entries_to_table(entries, val_tag):
     rows = [(r, c, v) for (r, c), v in sorted(entries.items())]
@@ -134,12 +131,6 @@ class KeyValueEngine(Engine):
 
     def array(self, name):
         return self._get(name)
-
-    def store_result(self, name, entries, val_tag):
-        with self._write_lock:
-            if self.has(name):
-                raise SchemaError(f"object {name!r} already exists")
-            self._objects[name] = AssociativeArray(name, dict(entries), val_tag)
 
     def execute_native(self, query):
         try:

@@ -1,10 +1,13 @@
 """Embedded relational engine with a small SQL dialect.
 
-SELECT/JOIN/WHERE/GROUP BY/ORDER BY/LIMIT over bag-typed relations.
-ORDER BY ties are broken by full-tuple lexicographic order so results
-are deterministic.
+SELECT/JOIN/WHERE/GROUP BY/ORDER BY/LIMIT over bag-typed relations,
+compiled once per statement (``compile_select``), which validation uses
+too. JOIN is a hash equi-join in which NULL keys never match. ORDER BY
+ties are broken by full-tuple lexicographic order so results are
+deterministic.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 from .. import sql
@@ -13,7 +16,7 @@ from ..errors import (
     CatalogError, NativeSyntaxError, QuerySyntaxError, SchemaError,
     TypeMismatchError,
 )
-from ..values import INT, REAL, TEXT, compare, row_sort_key, values_equal
+from ..values import INT, REAL, TEXT, compare, row_sort_key
 from .base import Engine
 
 
@@ -66,28 +69,20 @@ class RelationalEngine(Engine):
             stmt = sql.parse_select_text(query)
         except QuerySyntaxError as e:
             raise NativeSyntaxError(f"relational parse error: {e}") from e
-        tables = {}
-        for ref in stmt.table_refs():
-            tables[ref.binding] = self._get(ref.name)
-        return evaluate_select(stmt, {b: (t.schema, t.rows)
-                                      for b, t in tables.items()})
+        refs = stmt.table_refs()
+        tables = {ref.binding: self._get(ref.name) for ref in refs}
+        compiled = compile_select(
+            stmt, {b: t.schema for b, t in tables.items()})
+        return compiled.run(*(tables[ref.binding].rows for ref in refs))
 
 
-# --- reference SELECT evaluation over (schema, rows) pairs -----------------
+# --- SELECT compilation -------------------------------------------------------
 
 class _Scope:
-    """Column resolution over the concatenated row of all table refs."""
+    """Column slots of the concatenated row of all table refs."""
 
-    def __init__(self, stmt, tables):
-        self.columns = []  # (binding, name, tag)
-        self.offsets = {}
-        off = 0
-        for ref in stmt.table_refs():
-            schema, _ = tables[ref.binding]
-            self.offsets[ref.binding] = off
-            for name, tag in schema:
-                self.columns.append((ref.binding, name, tag))
-            off += len(schema)
+    def __init__(self, tables):  # (binding, schema) per table ref
+        self.columns = [(b, n, t) for b, schema in tables for n, t in schema]
 
     def resolve(self, col):
         hits = [
@@ -121,78 +116,130 @@ def _infer_tag(expr, scope):
         if expr.fn == "count":
             return INT
         arg = _infer_tag(expr.arg, scope)
-        if expr.fn == "avg":
-            if arg == TEXT:
-                raise TypeMismatchError("AVG over text")
-            return REAL
-        if expr.fn == "sum":
-            if arg == TEXT:
-                raise TypeMismatchError("SUM over text")
-            return arg
-        return arg  # min/max keep the tag
+        if expr.fn in ("avg", "sum") and arg == TEXT:
+            raise TypeMismatchError(f"{expr.fn.upper()} over text")
+        return REAL if expr.fn == "avg" else arg  # sum/min/max keep the tag
     raise TypeMismatchError(f"not a value expression: {sql.pp_expr(expr)}")
 
 
-def _eval_scalar(expr, row, scope):
+def _getter(idx):
+    """``row -> tuple`` of the values at the slots ``idx``."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda row: (row[i],)
+    return operator.itemgetter(*idx)
+
+
+def _divide(a, b):
+    if b == 0:
+        raise TypeMismatchError("division by zero")
+    return a / b
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _scalar(expr, scope):
+    """``row -> value`` for a scalar expression. Errors that depend on a
+    row (text arithmetic, division by zero, an aggregate outside
+    grouping) are raised by the closure, when a row reaches it."""
     if isinstance(expr, sql.Col):
-        return row[scope.resolve(expr)]
+        return operator.itemgetter(scope.resolve(expr))
     if isinstance(expr, sql.Lit):
-        return expr.value
-    if isinstance(expr, sql.Bin):
-        a = _eval_scalar(expr.left, row, scope)
-        b = _eval_scalar(expr.right, row, scope)
-        _infer_tag(expr, scope)  # rejects text operands even on null rows
+        value = expr.value
+        return lambda row: value
+    if isinstance(expr, sql.Agg):
+        def outside_grouping(row):
+            raise SchemaError("aggregate used outside a grouping context")
+        return outside_grouping
+    if not isinstance(expr, sql.Bin):
+        raise TypeMismatchError(f"not a value expression: {sql.pp_expr(expr)}")
+    left, right = _scalar(expr.left, scope), _scalar(expr.right, scope)
+    try:
+        _infer_tag(expr, scope)
+    except TypeMismatchError as e:
+        message = str(e)
+
+        def text_operand(row):  # once the operands evaluate, even to null
+            left(row), right(row)
+            raise TypeMismatchError(message)
+        return text_operand
+    op = _ARITH[expr.op]
+
+    def arith(row):
+        a, b = left(row), right(row)
         if a is None or b is None:
             return None
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if b == 0:
-            raise TypeMismatchError("division by zero")
-        return a / b
-    if isinstance(expr, sql.Agg):
-        raise SchemaError("aggregate used outside a grouping context")
-    raise TypeMismatchError(f"not a value expression: {sql.pp_expr(expr)}")
+        return op(a, b)
+    return arith
 
 
-def _eval_pred(pred, row, scope):
+def _pred(pred, scope):
+    """``row -> bool`` for a WHERE or FILTER predicate. Null sorts below
+    every value and equals itself."""
     if isinstance(pred, sql.Cmp):
-        a = _eval_scalar(pred.left, row, scope)
-        b = _eval_scalar(pred.right, row, scope)
-        c = compare(a, b)
-        return {
-            "=": c == 0, "!=": c != 0, "<": c < 0, "<=": c <= 0,
-            ">": c > 0, ">=": c >= 0,
-        }[pred.op]
+        left, right = _scalar(pred.left, scope), _scalar(pred.right, scope)
+        test = _CMP[pred.op]
+        try:
+            same = _infer_tag(pred.left, scope) == _infer_tag(pred.right, scope)
+        except TypeMismatchError:  # the operand raises before any comparison
+            same = True
+        if not same:  # compare() raises once both sides hold a value
+            return lambda row: test(compare(left(row), right(row)), 0)
+
+        def same_tag(row):
+            a, b = left(row), right(row)
+            if a is None or b is None:
+                return test(a is not None, b is not None)
+            return test(a, b)
+        return same_tag
     if isinstance(pred, sql.Logic):
+        left, right = _pred(pred.left, scope), _pred(pred.right, scope)
         if pred.op == "and":
-            return _eval_pred(pred.left, row, scope) and _eval_pred(pred.right, row, scope)
-        return _eval_pred(pred.left, row, scope) or _eval_pred(pred.right, row, scope)
+            return lambda row: left(row) and right(row)
+        return lambda row: left(row) or right(row)
     if isinstance(pred, sql.Not):
-        return not _eval_pred(pred.expr, row, scope)
+        inner = _pred(pred.expr, scope)
+        return lambda row: not inner(row)
     raise TypeMismatchError("WHERE requires a predicate")
 
 
-def _aggregate(agg, rows, scope):
-    if agg.fn == "count" and agg.arg is None:
-        return len(rows)
-    vals = [_eval_scalar(agg.arg, r, scope) for r in rows]
-    vals = [v for v in vals if v is not None]
-    _infer_tag(agg, scope)
-    if agg.fn == "count":
-        return len(vals)
-    if not vals:
-        return None
-    if agg.fn == "sum":
-        return sum(vals)
-    if agg.fn == "avg":
-        return sum(vals) / len(vals)
-    if agg.fn == "min":
-        return min(vals)
-    return max(vals)
+def compile_predicate(pred, binding, schema):
+    """``row -> bool`` for ``pred`` over the rows of one table."""
+    return _pred(pred, _Scope([(binding, schema)]))
+
+
+def _join(stmt, scope, n_left):
+    """``(left rows, right rows) -> joined rows`` for ``JOIN ... ON a = b``,
+    in left-major order. NULL keys never match, and keys of different
+    tags raise once a non-null key meets another."""
+    _, lcol, rcol = stmt.join
+    a, b = scope.resolve(lcol), scope.resolve(rcol)
+    ta, tb = scope.tag_at(a), scope.tag_at(b)
+    if (a < n_left) == (b < n_left):  # both ON columns name one table
+        def on(row):
+            x, y = row[a], row[b]
+            return x is not None and y is not None and compare(x, y) == 0
+        return lambda left_rows, right_rows: [
+            row for row in (lrow + rrow for lrow in left_rows
+                            for rrow in right_rows) if on(row)]
+    lkey, rkey = (a, b - n_left) if a < n_left else (b, a - n_left)
+
+    def hash_join(left_rows, right_rows):
+        if ta != tb:
+            if (any(r[lkey] is not None for r in left_rows)
+                    and any(r[rkey] is not None for r in right_rows)):
+                raise TypeMismatchError(f"cross-tag comparison: {ta} vs {tb}")
+            return []
+        index = {}
+        for r in right_rows:
+            if r[rkey] is not None:
+                index.setdefault(r[rkey], []).append(r)
+        return [lrow + rrow for lrow in left_rows
+                for rrow in index.get(lrow[lkey], ())]
+    return hash_join
 
 
 def _has_agg(expr):
@@ -211,132 +258,114 @@ def _derived_name(expr):
     return "expr"
 
 
-def infer_select_schema(stmt, table_schemas):
-    """Output schema of a SELECT given ``binding -> schema``, with the
-    same grouping checks evaluation applies."""
-    scope = _Scope(stmt, {b: (s, []) for b, s in table_schemas.items()})
-    if stmt.join:
-        _, lcol, rcol = stmt.join
-        scope.resolve(lcol)
-        scope.resolve(rcol)
-    grouped = bool(stmt.group_by) or any(
-        _has_agg(it.expr) for it in (stmt.items or [])
-    )
-    if grouped:
-        if stmt.items is None:
-            raise SchemaError("SELECT * cannot be combined with grouping")
-        gidx = [scope.resolve(c) for c in stmt.group_by]
-        out = []
-        for it in stmt.items:
-            name = it.alias or _derived_name(it.expr)
-            if _has_agg(it.expr):
-                if not isinstance(it.expr, sql.Agg):
-                    raise SchemaError("aggregates cannot be nested in arithmetic")
-            elif not isinstance(it.expr, sql.Col) or scope.resolve(it.expr) not in gidx:
-                raise SchemaError(
-                    f"non-aggregate select item {sql.pp_expr(it.expr)!r} "
-                    "is not in GROUP BY"
-                )
-            out.append((name, _infer_tag(it.expr, scope)))
-        return out
-    if stmt.items is None:
-        return [(n, t) for (_, n, t) in scope.columns]
-    return [
-        (it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope))
-        for it in stmt.items
-    ]
+_AGG_FNS = {"count": len, "sum": sum, "min": min, "max": max,
+            "avg": lambda vals: sum(vals) / len(vals)}
 
 
-def evaluate_select(stmt, tables):
-    """Evaluate a SELECT over ``tables``: binding -> (schema, rows)."""
-    for ref in stmt.table_refs():
-        if ref.binding not in tables:
-            raise CatalogError(f"unknown table {ref.binding!r}")
-    scope = _Scope(stmt, tables)
+def _aggregate(agg, scope):
+    """``(group key, group rows) -> value`` for one aggregate item."""
+    if agg.fn == "count" and agg.arg is None:
+        return lambda key, rows: len(rows)
+    arg, fn, count = _scalar(agg.arg, scope), _AGG_FNS[agg.fn], agg.fn == "count"
 
-    _, rows = tables[stmt.table.binding]
-    joined = [tuple(r) for r in rows]
-    if stmt.join:
-        jref, lcol, rcol = stmt.join
-        li, ri_abs = scope.resolve(lcol), scope.resolve(rcol)
-        _, jrows = tables[jref.binding]
-        out = []
-        for left in joined:
-            for right in jrows:
-                combo = left + tuple(right)
-                if values_equal(combo[li], combo[ri_abs]):
-                    out.append(combo)
-        joined = out
+    def aggregate(key, rows):
+        vals = [v for v in map(arg, rows) if v is not None]
+        return fn(vals) if vals or count else None
+    return aggregate
 
-    if stmt.where is not None:
-        joined = [r for r in joined if _eval_pred(stmt.where, r, scope)]
 
-    grouped = bool(stmt.group_by) or any(
-        _has_agg(it.expr) for it in (stmt.items or [])
-    )
-    if grouped:
-        if stmt.items is None:
-            raise SchemaError("SELECT * cannot be combined with grouping")
-        gidx = [scope.resolve(c) for c in stmt.group_by]
-        if stmt.group_by:
-            groups = {}
-            for r in joined:
-                groups.setdefault(tuple(r[i] for i in gidx), []).append(r)
+def _projection(stmt, scope):
+    """Output schema and ``rows -> output rows``, grouping included."""
+    items = stmt.items
+    if not stmt.group_by and not any(_has_agg(it.expr) for it in items or []):
+        if items is None:
+            return [(n, t) for _, n, t in scope.columns], lambda rows: rows
+        schema = [(it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope))
+                  for it in items]
+        fns = [_scalar(it.expr, scope) for it in items]
+        return schema, lambda rows: [tuple([f(r) for f in fns]) for r in rows]
+    if items is None:
+        raise SchemaError("SELECT * cannot be combined with grouping")
+    gidx = [scope.resolve(c) for c in stmt.group_by]
+    schema, cells = [], []  # cells: (group key, group rows) -> value
+    for it in items:
+        if _has_agg(it.expr):
+            if not isinstance(it.expr, sql.Agg):
+                raise SchemaError("aggregates cannot be nested in arithmetic")
+            cells.append(_aggregate(it.expr, scope))
+        elif not isinstance(it.expr, sql.Col) or scope.resolve(it.expr) not in gidx:
+            raise SchemaError(
+                f"non-aggregate select item {sql.pp_expr(it.expr)!r} "
+                "is not in GROUP BY"
+            )
         else:
-            groups = {(): joined}
-        out_schema, out_rows = [], []
-        for it in stmt.items:
-            name = it.alias or _derived_name(it.expr)
-            if _has_agg(it.expr):
-                if not isinstance(it.expr, sql.Agg):
-                    raise SchemaError("aggregates cannot be nested in arithmetic")
-                out_schema.append((name, _infer_tag(it.expr, scope)))
-            else:
-                if not isinstance(it.expr, sql.Col) or scope.resolve(it.expr) not in gidx:
-                    raise SchemaError(
-                        f"non-aggregate select item {sql.pp_expr(it.expr)!r} "
-                        "is not in GROUP BY"
-                    )
-                out_schema.append((name, _infer_tag(it.expr, scope)))
-        for gkey in groups:
-            grows = groups[gkey]
-            row = []
-            for it in stmt.items:
-                if isinstance(it.expr, sql.Agg):
-                    row.append(_aggregate(it.expr, grows, scope))
-                else:
-                    row.append(gkey[gidx.index(scope.resolve(it.expr))])
-            out_rows.append(tuple(row))
-    elif stmt.items is None:
-        out_schema = [(n, t) for (_, n, t) in scope.columns]
-        out_rows = joined
-    else:
-        out_schema = [
-            (it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope))
-            for it in stmt.items
-        ]
-        out_rows = [
-            tuple(_eval_scalar(it.expr, r, scope) for it in stmt.items)
-            for r in joined
-        ]
+            pos = gidx.index(scope.resolve(it.expr))
+            cells.append(lambda key, rows, pos=pos: key[pos])
+        schema.append((it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope)))
+    group_key = _getter(gidx) if gidx else None
 
-    if stmt.order_by:
-        names = [n for n, _ in out_schema]
-        keys = []
-        for c in stmt.order_by:
-            if c.qual is None and c.name in names:
-                keys.append(names.index(c.name))
-            else:
-                raise CatalogError(
-                    f"ORDER BY column {sql.pp_expr(c)!r} not in output"
-                )
-        out_rows = sorted(
-            out_rows,
-            key=lambda r: (row_sort_key(tuple(r[i] for i in keys)),
-                           row_sort_key(r)),
-        )
-    if stmt.limit is not None:
-        if not stmt.order_by:
-            out_rows = sorted(out_rows, key=row_sort_key)
-        out_rows = out_rows[: stmt.limit]
-    return CanonicalTable(out_schema, out_rows)
+    def group(rows):
+        if group_key is None:
+            groups = {(): rows}
+        else:
+            groups = {}
+            for r in rows:
+                groups.setdefault(group_key(r), []).append(r)
+        return [tuple([cell(k, g) for cell in cells]) for k, g in groups.items()]
+    return schema, group
+
+
+def _ordering(stmt, schema):
+    """``rows -> rows`` applying ORDER BY and LIMIT, or None for neither."""
+    names = [n for n, _ in schema]
+    keys = []
+    for c in stmt.order_by:
+        if c.qual is not None or c.name not in names:
+            raise CatalogError(f"ORDER BY column {sql.pp_expr(c)!r} not in output")
+        keys.append(names.index(c.name))
+    limit = stmt.limit
+    if keys:
+        by = _getter(keys)
+        key = lambda r: (row_sort_key(by(r)), row_sort_key(r))  # noqa: E731
+    elif limit is not None:
+        key = row_sort_key
+    else:
+        return None
+    return lambda rows: sorted(rows, key=key)[:limit]
+
+
+@dataclass
+class CompiledSelect:
+    """A SELECT bound to its input schemas: the output schema, and the
+    closures that evaluate the statement over rows."""
+
+    schema: list  # output (name, tag) pairs
+    join: object  # (left rows, right rows) -> rows, or None
+    where: object  # row -> bool, or None
+    project: object  # rows -> output rows
+    order: object  # output rows -> ordered, limited rows, or None
+
+    def run(self, rows, join_rows=None):
+        """Evaluate over the rows of the FROM table and the JOIN table."""
+        if self.join is not None:
+            rows = self.join(rows, join_rows)
+        if self.where is not None:
+            rows = list(filter(self.where, rows))
+        rows = self.project(rows)
+        if self.order is not None:
+            rows = self.order(rows)
+        return CanonicalTable(self.schema, rows)
+
+
+def compile_select(stmt, table_schemas):
+    """Compile a SELECT over ``binding -> schema`` once. Unknown or
+    ambiguous columns, grouping errors and ORDER BY columns missing from
+    the output raise here, before any row is read."""
+    scope = _Scope([(ref.binding, table_schemas[ref.binding])
+                    for ref in stmt.table_refs()])
+    join = None
+    if stmt.join:
+        join = _join(stmt, scope, len(table_schemas[stmt.table.binding]))
+    where = _pred(stmt.where, scope) if stmt.where is not None else None
+    schema, project = _projection(stmt, scope)
+    return CompiledSelect(schema, join, where, project, _ordering(stmt, schema))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import monitor as mon
 from . import planner, querylang
 from .canonical import bag_equal
-from .errors import ExecutionError, InternalConsistencyError
+from .errors import ExecutionError, InternalConsistencyError, PolydawgError
 from .migrator import CastSpec, apply_cast, migrate
 from .planner import CrossOp, ExecuteContainer, Migrate
 
@@ -367,8 +367,8 @@ class System:
                    for frac in self.current_usage().values())
 
     def drain_background(self, force=False):
-        """Run queued plans while the system looks idle; returns the
-        number of plans executed (failed runs leave a tombstone record)."""
+        """Run queued plans while the system looks idle; returns the number
+        executed. A PolydawgError leaves a tombstone record; others raise."""
         done = 0
         while self.monitor.pending and (force or self.is_idle()):
             signature, plan, pq = self.monitor.pop_pending()
@@ -377,7 +377,7 @@ class System:
             try:
                 _, runtime_ms = self.execute_plan(pq, plan)
                 phase = "background"
-            except Exception:
+            except PolydawgError:
                 phase, runtime_ms = "failed", 0.0
             # background work should not push back the idle horizon
             self._last_foreground_end = foreground_end

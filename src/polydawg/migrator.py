@@ -335,13 +335,6 @@ def apply_cast(table, spec):
     return result
 
 
-def apply_chain(table, specs):
-    inv = None
-    for spec in specs:
-        table, inv = apply_cast(table, spec)
-    return table, inv
-
-
 # --- moving objects between engines ----------------------------------------
 
 def chain_for(source_model, target_model, key=None):

@@ -707,10 +707,10 @@ def _validate_scope(scope, res):
                     "cast it through a concrete island"
                 )
             table_schemas[ref.binding] = info_.schema
-        from .engines.relational import infer_select_schema
+        from .engines.relational import compile_select
         from .errors import CatalogError, SchemaError, TypeMismatchError
         try:
-            out_schema = infer_select_schema(expr, table_schemas)
+            out_schema = compile_select(expr, table_schemas).schema
         except (CatalogError, SchemaError, TypeMismatchError) as e:
             raise ValidationError(str(e)) from e
         info = ScopeInfo(scope.island, island.model, out_schema)

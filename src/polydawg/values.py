@@ -7,7 +7,6 @@ error.
 """
 
 import math
-from functools import cmp_to_key
 
 from .errors import SchemaError, TypeMismatchError
 
@@ -71,19 +70,10 @@ def compare(a, b):
     return 0
 
 
-def compare_rows(ra, rb):
-    for a, b in zip(ra, rb):
-        c = compare(a, b)
-        if c != 0:
-            return c
-    return len(ra) - len(rb)
-
-
-row_sort_key = cmp_to_key(compare_rows)
-
-
-def values_equal(a, b):
-    return compare(a, b) == 0
+def row_sort_key(row):
+    """Sort key giving ``compare``'s order, column by column, to rows whose
+    columns each hold one tag (as every CanonicalTable column does)."""
+    return tuple([(v is not None, v) for v in row])
 
 
 def is_numeric_tag(tag):

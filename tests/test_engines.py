@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 import generators
 import oracle
+from polydawg import sql
 from polydawg.canonical import CanonicalTable
 from polydawg.engines import default_catalog
 from polydawg.errors import (
@@ -70,7 +72,6 @@ def test_relational_matches_reference_evaluator_on_random_tables(catalog):
         catalog.load("rel", f"t{i}", table, {"key": list(key)})
         query = f"SELECT * FROM t{i} WHERE k > 'k05000' ORDER BY k LIMIT 10"
         got = catalog.execute_native("rel", query)
-        import polydawg.sql as sql
         stmt = sql.parse_select_text(query)
         _, want = oracle.eval_select(
             stmt, {f"t{i}": (table.schema, table.rows)})
@@ -84,6 +85,153 @@ def test_relational_type_errors(catalog):
                                "SELECT id FROM patients WHERE age > 'x'")
     with pytest.raises(NativeSyntaxError):
         catalog.execute_native("rel", "SELEKT 1")
+
+
+def _literal(rng, tag):
+    value = generators.random_value(rng, tag)
+    if tag == "text":
+        return sql.quote_sq(value)
+    return f"{value:.4f}" if tag == "real" else str(value)
+
+
+def _with_join_keys(rng, table, pool, tag):
+    """``table`` plus join columns j and j2 drawn from ``pool`` (NULL
+    included), so keys repeat and meet NULLs."""
+    return CanonicalTable(
+        table.schema + [("j", tag), ("j2", tag)],
+        [r + (rng.choice(pool), rng.choice(pool)) for r in table.rows])
+
+
+def _random_pred(rng, binding, schema, depth=0):
+    if depth < 2 and rng.random() < 0.5:
+        kind = rng.choice(["AND", "OR", "NOT"])
+        left = _random_pred(rng, binding, schema, depth + 1)
+        if kind == "NOT":
+            return f"NOT ({left})"
+        right = _random_pred(rng, binding, schema, depth + 1)
+        return f"({left}) {kind} ({right})"
+    op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+    if rng.random() < 0.2:
+        return f"{binding}.j {op} {binding}.j2"
+    name, tag = rng.choice(schema)
+    col = f"{binding}.{name}"
+    if tag != "text" and rng.random() < 0.3:
+        col += " * 2"
+    return f"{col} {op} {_literal(rng, tag)}"
+
+
+def _relational_queries(rng, schema):
+    """SELECTs over the random relations ``l`` and ``r``, with whether
+    their row order is fixed by ORDER BY or LIMIT."""
+    lpred = _random_pred(rng, "l", schema)
+    rpred = _random_pred(rng, "r", schema)
+    numeric = [n for n, t in schema if t != "text"]
+    num = rng.choice(numeric) if numeric else None
+    sums = f", SUM(l.{num}) AS s, AVG(l.{num}) AS av" if num else ""
+    limit = rng.randint(0, 8)
+    return [
+        ("SELECT * FROM l JOIN r ON l.j = r.j", False),
+        ("SELECT * FROM l JOIN r ON r.j = l.j2", False),
+        ("SELECT * FROM l JOIN r ON l.j = l.j2", False),
+        ("SELECT * FROM l JOIN r ON r.j2 = r.j", False),
+        (f"SELECT * FROM l WHERE {lpred}", False),
+        (f"SELECT l.k, r.k FROM l JOIN r ON l.j = r.j "
+         f"WHERE ({lpred}) OR ({rpred})", False),
+        ("SELECT l.j AS g, COUNT(*) AS n, COUNT(l.a0) AS c, "
+         f"MIN(l.a0) AS lo, MAX(l.a0) AS hi{sums} FROM l GROUP BY l.j",
+         False),
+        ("SELECT l.j AS g, r.j2 AS h, COUNT(*) AS n, MAX(r.k) AS m FROM l "
+         "JOIN r ON l.j = r.j GROUP BY l.j, r.j2 ORDER BY g", True),
+        (f"SELECT COUNT(*) AS n, MIN(l.k) AS m FROM l WHERE {lpred}", False),
+        (f"SELECT k, a0 FROM l WHERE {lpred} ORDER BY a0 LIMIT {limit}",
+         True),
+        (f"SELECT * FROM r LIMIT {limit}", True),
+    ]
+
+
+def test_relational_matches_oracle_on_joins_predicates_and_groups(catalog):
+    rng = random.Random(33)
+    for i in range(60):
+        # both tables share one schema, so every predicate is well typed
+        base, _ = generators.random_relation(rng, max_rows=12)
+        tag = rng.choice(["int", "real", "text"])
+        pool = [generators.random_value(rng, tag) for _ in range(3)] + [None]
+        other = CanonicalTable(base.schema, [
+            tuple(generators.random_value(rng, t)
+                  if rng.random() < 0.9 else None for _, t in base.schema)
+            for _ in range(rng.randint(0, 12))])
+        tables = {"l": _with_join_keys(rng, base, pool, tag),
+                  "r": _with_join_keys(rng, other, pool, tag)}
+        for name, table in tables.items():
+            catalog.load("rel", name, table, {})
+        snapshot = {n: (t.schema, t.rows) for n, t in tables.items()}
+        for query, ordered in _relational_queries(rng, tables["l"].schema):
+            got = catalog.execute_native("rel", query)
+            _, want = oracle.eval_select(sql.parse_select_text(query),
+                                         snapshot)
+            want = [tuple(r) for r in want]
+            if ordered:
+                assert got.rows == want, query
+            else:
+                assert Counter(got.rows) == Counter(want), query
+        for name in tables:
+            catalog.drop(name)
+
+
+def test_relational_join_never_matches_null_keys(catalog):
+    catalog.load("rel", "l", CanonicalTable(
+        [("k", "text"), ("a", "int")], [("a", 1), (None, 2)]), {})
+    catalog.load("rel", "r", CanonicalTable(
+        [("k", "text"), ("b", "int")], [("a", 10), (None, 20)]), {})
+    query = "SELECT l.a, r.b FROM l JOIN r ON l.k = r.k"
+    _, want = oracle.eval_select(sql.parse_select_text(query), {
+        n: (catalog.export("rel", n).schema, catalog.export("rel", n).rows)
+        for n in ("l", "r")})
+    assert catalog.execute_native("rel", query).rows == want == [(1, 10)]
+
+
+def test_relational_join_tag_clash_raises_only_when_keys_meet(catalog):
+    for name, tag, rows in [("i", "int", [(1,), (None,)]),
+                            ("t", "text", [("1",), (None,)]),
+                            ("n", "text", [(None,)]),
+                            ("e", "text", [])]:
+        catalog.load("rel", name, CanonicalTable([("j", tag)], rows), {})
+    for on in ("i.j = t.j", "t.j = i.j"):
+        with pytest.raises(TypeMismatchError):
+            catalog.execute_native("rel", f"SELECT * FROM i JOIN t ON {on}")
+    # an empty side, or a side whose keys are all NULL, never compares
+    for other in ("e", "n"):
+        for query in (f"SELECT * FROM i JOIN {other} ON i.j = {other}.j",
+                      f"SELECT * FROM {other} JOIN i ON i.j = {other}.j"):
+            assert catalog.execute_native("rel", query).rows == []
+
+
+def test_relational_row_errors_wait_for_a_row(catalog):
+    catalog.load("rel", "patients", PATIENTS, {"key": ["id"]})
+    catalog.load("rel", "nobody", CanonicalTable(PATIENTS.schema, []), {})
+    for where, error in [("age > 'x'", TypeMismatchError),
+                         ("age / 0 > 1", TypeMismatchError),
+                         ("id + 1 > 1", TypeMismatchError),
+                         ("COUNT(*) > 1", SchemaError)]:
+        assert catalog.execute_native(
+            "rel", f"SELECT id FROM nobody WHERE {where}").rows == []
+        with pytest.raises(error):
+            catalog.execute_native(
+                "rel", f"SELECT id FROM patients WHERE {where}")
+
+
+def test_relational_statement_errors_fire_before_any_row(catalog):
+    catalog.load("rel", "nobody", CanonicalTable(PATIENTS.schema, []), {})
+    for query, error in [
+        ("SELECT id FROM nobody WHERE bogus > 1", CatalogError),
+        ("SELECT id FROM nobody ORDER BY age", CatalogError),
+        ("SELECT p.id FROM nobody p JOIN nobody q ON p.id = q.id "
+         "WHERE age > 1", SchemaError),
+        ("SELECT p.id FROM nobody p JOIN nobody q ON p.id = bogus",
+         CatalogError),
+    ]:
+        with pytest.raises(error):
+            catalog.execute_native("rel", query)
 
 
 # --- key-value ------------------------------------------------------------------

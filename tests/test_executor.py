@@ -221,3 +221,16 @@ def test_background_failures_leave_tombstones():
     failed = [r for r in system.monitor.records if r.phase == "failed"]
     assert failed and all(r.runtime_ms == 0.0 for r in failed)
     assert not [n for n in system.catalog.directory() if n.startswith("__mig_")]
+
+
+def test_background_programming_errors_reach_the_caller(monkeypatch):
+    system = fresh_system()
+    system.run_production(MATMUL)
+
+    def broken(pq, plan):
+        raise RuntimeError("bug in a plan step")
+
+    monkeypatch.setattr(system, "execute_plan", broken)
+    with pytest.raises(RuntimeError, match="bug in a plan step"):
+        system.drain_background(force=True)
+    assert not [r for r in system.monitor.records if r.phase == "failed"]

@@ -7,7 +7,7 @@ from polydawg.canonical import CanonicalTable, bag_equal
 from polydawg.engines import default_catalog
 from polydawg.errors import CastError
 from polydawg.migrator import (
-    ARRAY, KEYVALUE, RELATIONAL, CastSpec, apply_cast, apply_chain, chain_for,
+    ARRAY, KEYVALUE, RELATIONAL, CastSpec, apply_cast, chain_for,
     migrate,
 )
 
@@ -126,7 +126,9 @@ def test_chain_for_routes_through_assoc():
     table = CanonicalTable(
         [("r", "text"), ("c", "text"), ("v", "int")], [("a", "b", 1)]
     )
-    out, _ = apply_chain(table, chain_for(RELATIONAL, KEYVALUE))
+    out = table
+    for spec in chain_for(RELATIONAL, KEYVALUE):
+        out, _ = apply_cast(out, spec)
     assert out.rows == [("a", "b", 1)]
 
 

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 import generators
 from polydawg import querylang as ql
-from polydawg.errors import QuerySyntaxError, ValidationError
+from polydawg.errors import CatalogError, QuerySyntaxError, ValidationError
 from polydawg.querylang import CastNode, D4mOp, ObjRef, RawExpr
 
 
@@ -163,6 +164,21 @@ def test_validate_columns_against_schema(env):
         check(env, "relational(SELECT bogus_col FROM patients)")
     with pytest.raises(ValidationError):
         check(env, "array(subarray(waveform, bogus_dim=0:1))")
+
+
+def test_validate_reports_statement_errors_like_the_engine(env):
+    catalog, _ = env
+    for body, message in [
+        ("SELECT id FROM patients WHERE bogus > 1", "unknown column 'bogus'"),
+        ("SELECT id FROM patients ORDER BY age",
+         "ORDER BY column 'age' not in output"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            check(env, f"relational({body})")
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            catalog.execute_native("rel", body)
+    # errors that depend on values still wait for a row
+    check(env, "relational(SELECT id FROM patients WHERE age > 'x')")
 
 
 def test_validate_raw_scope_is_opaque(env):

@@ -5,7 +5,6 @@ import pytest
 from polydawg.errors import SchemaError, TypeMismatchError
 from polydawg.values import (
     INT, REAL, TEXT, check_value, compare, row_sort_key, tag_of,
-    values_equal,
 )
 
 
@@ -46,12 +45,6 @@ def test_check_value_widens_int_into_real_columns():
         check_value(REAL, float("nan"))
 
 
-def test_values_equal_mixes_null_and_tags():
-    assert values_equal(None, None)
-    assert not values_equal(None, 0)
-    assert values_equal("a", "a")
-
-
 def test_row_sort_key_is_a_total_order_property():
     rng = random.Random(5)
     pools = ([None, -3, 0, 7], [None, -1.5, 2.25], [None, "a", "zz", ""])
@@ -60,3 +53,7 @@ def test_row_sort_key_is_a_total_order_property():
         ordered = sorted(rows, key=row_sort_key)
         assert sorted(ordered, key=row_sort_key) == ordered
         assert sorted(rows, key=row_sort_key) == ordered
+        # the key orders rows as compare() does, column by column
+        for a, b in zip(ordered, ordered[1:]):
+            first = next((compare(x, y) for x, y in zip(a, b) if x != y), 0)
+            assert first <= 0
