@@ -14,7 +14,7 @@ from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
 from ..values import INT, REAL, TEXT, is_numeric_tag
 from .base import Engine
-from .keyvalue import SEMIRINGS, entries_to_table, _result_tag
+from .keyvalue import run_assoc_op
 from .relational import compile_predicate
 
 
@@ -109,10 +109,8 @@ class ArrayEngine(Engine):
                 return self._filter(cur)
             if verb == "agg":
                 return self._agg(cur)
-            if verb == "matmul":
-                return self._matmul(cur)
-            if verb == "ewise":
-                return self._ewise(cur)
+            if verb in ("matmul", "ewise"):
+                return run_assoc_op(verb, cur, self._as_entries)
             cur.fail("expected SUBARRAY, FILTER, AGG, MATMUL, or EWISE")
         except QuerySyntaxError as e:
             raise NativeSyntaxError(f"array parse error: {e}") from e
@@ -219,7 +217,8 @@ class ArrayEngine(Engine):
 
     # --- associative-array ops over key-mapped 2-D arrays ------------------
 
-    def _as_entries(self, arr, opname):
+    def _as_entries(self, name, opname):
+        arr = self._get(name)
         if len(arr.dims) != 2 or len(arr.attrs) != 1:
             raise SchemaError(
                 f"{opname} needs a 2-dimensional single-attribute array"
@@ -233,34 +232,3 @@ class ArrayEngine(Engine):
             ckey = maps[1][j] if maps[1] is not None else str(j)
             out[(rkey, ckey)] = v
         return out, arr.attrs[0][1]
-
-    def _matmul(self, cur):
-        from .keyvalue import assoc_matmul
-
-        a = self._get(cur.expect_ident("object name").text)
-        b = self._get(cur.expect_ident("object name").text)
-        semiring = "plus.times"
-        if cur.accept_keyword("semiring"):
-            parts = [cur.expect_ident().text]
-            while cur.accept_op("."):
-                parts.append(cur.expect_ident().text)
-            semiring = ".".join(parts).lower()
-        self._finish(cur)
-        ae, atag = self._as_entries(a, "MATMUL")
-        be, btag = self._as_entries(b, "MATMUL")
-        if semiring not in SEMIRINGS:
-            raise SchemaError(f"unknown semiring {semiring!r}")
-        return entries_to_table(assoc_matmul(ae, be, semiring),
-                                _result_tag(atag, btag))
-
-    def _ewise(self, cur):
-        from .keyvalue import assoc_ewise
-
-        a = self._get(cur.expect_ident("object name").text)
-        b = self._get(cur.expect_ident("object name").text)
-        op = cur.expect_ident("elementwise op (plus/min/max)").lower
-        self._finish(cur)
-        ae, atag = self._as_entries(a, "EWISE")
-        be, btag = self._as_entries(b, "EWISE")
-        return entries_to_table(assoc_ewise(ae, be, op),
-                                _result_tag(atag, btag))

@@ -34,13 +34,6 @@ def entries_to_table(entries, val_tag):
     )
 
 
-def _require_numeric(arr, opname):
-    if not is_numeric_tag(arr.val_tag):
-        raise TypeMismatchError(
-            f"{opname} requires numeric values, {arr.name!r} holds {arr.val_tag}"
-        )
-
-
 def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
     """C(r,c) = oplus_k A(r,k) otimes B(k,c) over keys present in both."""
     try:
@@ -96,6 +89,30 @@ def _result_tag(a_tag, b_tag):
     raise TypeMismatchError(f"mixed value tags {a_tag}/{b_tag}")
 
 
+def run_assoc_op(verb, cur, operand):
+    """Parse and run ``MATMUL a b [SEMIRING x.y]`` or ``EWISE a b op``
+    after its verb. ``operand(name, opname)`` returns an object's
+    (entries, value tag), raising if the object cannot take part in the
+    op; errors come in the order parse, operand, semiring/op name."""
+    a = cur.expect_ident("object name").text
+    b = cur.expect_ident("object name").text
+    if verb == "matmul":
+        how = "plus.times"
+        if cur.accept_keyword("semiring"):
+            parts = [cur.expect_ident().text]
+            while cur.accept_op("."):
+                parts.append(cur.expect_ident().text)
+            how = ".".join(parts).lower()
+    else:
+        how = cur.expect_ident("elementwise op (plus/min/max)").lower
+    if cur.peek().kind != "EOF":
+        cur.fail("unexpected trailing input")
+    opname = verb.upper()
+    (ae, atag), (be, btag) = operand(a, opname), operand(b, opname)
+    run = assoc_matmul if verb == "matmul" else assoc_ewise
+    return entries_to_table(run(ae, be, how), _result_tag(atag, btag))
+
+
 class KeyValueEngine(Engine):
     model = "keyvalue"
 
@@ -148,10 +165,8 @@ class KeyValueEngine(Engine):
             return self._scan(cur)
         if verb == "grep":
             return self._grep(cur)
-        if verb == "matmul":
-            return self._matmul(cur)
-        if verb == "ewise":
-            return self._ewise(cur)
+        if verb in ("matmul", "ewise"):
+            return run_assoc_op(verb, cur, self._operand)
         cur.fail("expected SCAN, GREP, MATMUL, or EWISE")
 
     def _range(self, cur):
@@ -204,30 +219,10 @@ class KeyValueEngine(Engine):
         }
         return entries_to_table(hit, arr.val_tag)
 
-    def _dotted(self, cur):
-        parts = [cur.expect_ident().text]
-        while cur.accept_op("."):
-            parts.append(cur.expect_ident().text)
-        return ".".join(parts)
-
-    def _matmul(self, cur):
-        a = self._get(cur.expect_ident("object name").text)
-        b = self._get(cur.expect_ident("object name").text)
-        semiring = "plus.times"
-        if cur.accept_keyword("semiring"):
-            semiring = self._dotted(cur).lower()
-        self._finish(cur)
-        _require_numeric(a, "MATMUL")
-        _require_numeric(b, "MATMUL")
-        out = assoc_matmul(a.entries, b.entries, semiring)
-        return entries_to_table(out, _result_tag(a.val_tag, b.val_tag))
-
-    def _ewise(self, cur):
-        a = self._get(cur.expect_ident("object name").text)
-        b = self._get(cur.expect_ident("object name").text)
-        op = cur.expect_ident("elementwise op (plus/min/max)").lower
-        self._finish(cur)
-        _require_numeric(a, "EWISE")
-        _require_numeric(b, "EWISE")
-        out = assoc_ewise(a.entries, b.entries, op)
-        return entries_to_table(out, _result_tag(a.val_tag, b.val_tag))
+    def _operand(self, name, opname):
+        arr = self._get(name)
+        if not is_numeric_tag(arr.val_tag):
+            raise TypeMismatchError(
+                f"{opname} requires numeric values, {name!r} holds {arr.val_tag}"
+            )
+        return arr.entries, arr.val_tag

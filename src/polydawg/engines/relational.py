@@ -360,9 +360,13 @@ class CompiledSelect:
 def compile_select(stmt, table_schemas):
     """Compile a SELECT over ``binding -> schema`` once. Unknown or
     ambiguous columns, grouping errors and ORDER BY columns missing from
-    the output raise here, before any row is read."""
+    the output raise here, before any row is read. Table refs are keyed
+    by binding, so two refs may not share one."""
+    refs = stmt.table_refs()
+    if len(refs) == 2 and refs[0].binding == refs[1].binding:
+        raise SchemaError(f"duplicate table binding {refs[1].binding!r}")
     scope = _Scope([(ref.binding, table_schemas[ref.binding])
-                    for ref in stmt.table_refs()])
+                    for ref in refs])
     join = None
     if stmt.join:
         join = _join(stmt, scope, len(table_schemas[stmt.table.binding]))

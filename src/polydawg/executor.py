@@ -20,7 +20,7 @@ from . import monitor as mon
 from . import planner, querylang
 from .canonical import bag_equal
 from .errors import ExecutionError, InternalConsistencyError, PolydawgError
-from .migrator import CastSpec, apply_cast, migrate
+from .migrator import apply_cast, chain_for, migrate
 from .planner import CrossOp, ExecuteContainer, Migrate
 
 
@@ -253,11 +253,11 @@ class System:
         node = step.node
         if node.kind == "cast":
             table = env[node.inputs[0]]
-            for spec in _cast_chain(node.params["source_model"],
-                                    node.params["target_model"],
-                                    node.params.get("key")):
+            for spec in chain_for(node.params["source_model"],
+                                  node.params["target_model"],
+                                  key=node.params["key"]):
                 table, _ = apply_cast(table, spec)
-            return _rename_to(table, node.schema)
+            return table
 
         def binding(leaf):
             alias = node.leaf_aliases[id(leaf)]
@@ -389,29 +389,3 @@ class System:
             done += 1
         return done
 
-
-def _cast_chain(source, target, key):
-    """Cast specs for a user-level cast between island models.
-
-    relational->array routes through the associative triple form (rank
-    coordinates); every other pair has a direct rule.
-    """
-    if source == target:
-        return []
-    if source == "relational" and target == "array":
-        return [CastSpec("relational", "keyvalue",
-                         key=tuple(key) if key else ("r",)),
-                CastSpec("keyvalue", "array")]
-    spec = CastSpec(source, target)
-    if source == "relational" and target == "keyvalue":
-        spec.key = tuple(key) if key else ("r",)
-    return [spec]
-
-
-def _rename_to(table, schema):
-    from .canonical import CanonicalTable
-    if schema and len(schema) == len(table.schema):
-        names = [n for n, _ in schema]
-        tags = [t for _, t in table.schema]
-        return CanonicalTable(list(zip(names, tags)), list(table.rows))
-    return table

@@ -2,9 +2,14 @@
 and array data models, and move objects between engines.
 
 All conversions route through CanonicalTable, so three models need six
-rules rather than per-engine-pair code. Each cast returns the converted
+rules rather than per-engine-pair code. Every rule returns the converted
 table plus an inverse spec when the conversion is lossless; dropping
 null attribute values on relation->assoc is the single lossy edge.
+
+``chain_for`` is the one place that picks which rules a cast chains:
+every pair of models is one direct rule except relational->array, which
+passes through the associative triple form because its direct rule needs
+dimension columns the caller does not have.
 """
 
 import hashlib
@@ -26,7 +31,6 @@ class CastSpec:
     target_model: str
     key: object = None          # relation->assoc: key column names
     dim_cols: object = None     # relation->array / array source: dim column names
-    dim_lengths: object = None  # optional per-dim lengths (relation->array)
     dim_maps: object = None     # per-dim sorted key lists (assoc<->array)
     pivot: object = None        # assoc->relation: (key_schema, attr_schema)
     column_order: object = None # array->relation: original column names
@@ -88,26 +92,6 @@ def _is_triple_schema(schema):
         and schema[0][1] == TEXT
         and schema[1][1] == TEXT
     )
-
-
-def cast_table(table, spec):
-    """Apply a model cast; returns (table, inverse CastSpec or None)."""
-    pair = (spec.source_model, spec.target_model)
-    if pair == (RELATIONAL, KEYVALUE):
-        return _relation_to_assoc(table, spec)
-    if pair == (KEYVALUE, RELATIONAL):
-        return _assoc_to_relation(table, spec)
-    if pair == (RELATIONAL, ARRAY):
-        return _relation_to_array(table, spec)
-    if pair == (ARRAY, RELATIONAL):
-        return _array_to_relation(table, spec)
-    if pair == (KEYVALUE, ARRAY):
-        return _assoc_to_array(table, spec)
-    if pair == (ARRAY, KEYVALUE):
-        return _array_to_assoc(table, spec)
-    if spec.source_model == spec.target_model:
-        return table, CastSpec(spec.target_model, spec.source_model)
-    raise CastError(f"no cast rule for {pair}")
 
 
 def _relation_to_assoc(table, spec):
@@ -217,24 +201,12 @@ def _relation_to_array(table, spec):
             raise CastError(f"dimension column {d!r} must be int")
         didx.append(i)
     aidx = [i for i in range(len(names)) if i not in didx]
-    if spec.dim_lengths:
-        lengths = list(spec.dim_lengths)
-    else:
-        lengths = []
-        for i in didx:
-            coords = [r[i] for r in table.rows]
-            if any(c is None or c < 0 for c in coords):
-                raise CastError("dimension coordinates must be non-negative ints")
-            lengths.append((max(coords) + 1) if coords else 1)
     seen = set()
     out_rows = []
     for row in table.rows:
         coords = tuple(row[i] for i in didx)
-        if any(c is None for c in coords):
-            raise CastError("null dimension coordinate")
-        for c, length in zip(coords, lengths):
-            if not (0 <= c < length):
-                raise CastError(f"coordinate {c} out of bounds (length {length})")
+        if any(c is None or c < 0 for c in coords):
+            raise CastError("dimension coordinates must be non-negative ints")
         if coords in seen:
             raise CastError(f"duplicate index vector {coords!r}")
         seen.add(coords)
@@ -243,7 +215,7 @@ def _relation_to_array(table, spec):
     out = CanonicalTable(schema, sorted(out_rows, key=lambda r: r[: len(didx)]))
     inverse = CastSpec(ARRAY, RELATIONAL, dim_cols=dim_cols,
                        column_order=list(names))
-    return out, inverse, lengths
+    return out, inverse
 
 
 def _array_to_relation(table, spec):
@@ -287,8 +259,7 @@ def _assoc_to_array(table, spec):
     out = CanonicalTable(
         [("r", INT), ("c", INT), ("v", val_tag)], sorted(out_rows)
     )
-    inverse = CastSpec(ARRAY, KEYVALUE, dim_maps=[row_map, col_map])
-    return out, inverse, [max(len(row_map), 1), max(len(col_map), 1)]
+    return out, CastSpec(ARRAY, KEYVALUE, dim_maps=[row_map, col_map])
 
 
 def _array_to_assoc(table, spec):
@@ -327,33 +298,46 @@ def _array_to_assoc(table, spec):
     return out, inverse
 
 
+_RULES = {
+    (RELATIONAL, KEYVALUE): _relation_to_assoc,
+    (KEYVALUE, RELATIONAL): _assoc_to_relation,
+    (RELATIONAL, ARRAY): _relation_to_array,
+    (ARRAY, RELATIONAL): _array_to_relation,
+    (KEYVALUE, ARRAY): _assoc_to_array,
+    (ARRAY, KEYVALUE): _array_to_assoc,
+}
+
+
 def apply_cast(table, spec):
-    """cast_table wrapper that normalizes the 2- and 3-tuple rule returns."""
-    result = cast_table(table, spec)
-    if len(result) == 3:
-        return result[0], result[1]
-    return result
+    """Apply one model cast; returns (table, inverse CastSpec or None)."""
+    pair = (spec.source_model, spec.target_model)
+    if pair not in _RULES:
+        raise CastError(f"no cast rule for {pair}")
+    return _RULES[pair](table, spec)
 
 
 # --- moving objects between engines ----------------------------------------
 
-def chain_for(source_model, target_model, key=None):
+def chain_for(source_model, target_model, key=None, dim_cols=None,
+              dim_maps=None):
     """Cast specs converting source_model to target_model (may be empty).
 
-    ``key`` feeds any relation->assoc leg (triple-encoded data uses
-    key=('r',), which casts by reinterpretation).
+    ``key`` feeds a relational source (default ('r',): triple-encoded data
+    casts by reinterpretation); ``dim_cols`` and ``dim_maps`` describe an
+    array source.
     """
     if source_model == target_model:
         return []
-    if KEYVALUE in (source_model, target_model):
-        spec = CastSpec(source_model, target_model)
-        if source_model == RELATIONAL:
-            spec.key = tuple(key) if key else ("r",)
-        return [spec]
-    # relational <-> array have direct rules but require dim metadata the
-    # caller rarely has; route through the assoc triple form instead
-    return (chain_for(source_model, KEYVALUE, key)
-            + chain_for(KEYVALUE, target_model))
+    if (source_model, target_model) == (RELATIONAL, ARRAY):
+        return (chain_for(RELATIONAL, KEYVALUE, key)
+                + chain_for(KEYVALUE, ARRAY))
+    if source_model == RELATIONAL:
+        key = tuple(key) if key else ("r",)
+    else:
+        key = None
+    return [CastSpec(source_model, target_model, key=key,
+                     dim_cols=tuple(dim_cols) if dim_cols else None,
+                     dim_maps=dim_maps)]
 
 
 def temp_name(to_engine, table, options):
@@ -362,26 +346,19 @@ def temp_name(to_engine, table, options):
     return "__mig_" + hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def load_options_for_model(target_model, table, last_spec_result=None):
-    """Engine load options for a freshly cast table."""
-    if target_model != ARRAY:
-        return {}
-    if last_spec_result is not None:
-        maps = last_spec_result.dim_maps if last_spec_result else None
-    else:
-        maps = None
+def _array_load_options(table, maps):
+    """Array engine load options for a cast triple table; ``maps`` are
+    the dimension key maps of the last cast, if it produced any."""
     if not table.rows:
         # empty value: no keys to map, load as a 1x1 all-empty array
         return {"dims": [(n, 1) for n, _ in table.schema[:2]]}
     dims = []
-    dim_names = [n for n, t in table.schema[:2]]
-    for axis, name in enumerate(dim_names):
+    for axis, (name, _) in enumerate(table.schema[:2]):
         if maps:
             length = max(len(maps[axis]), 1)
         else:
             i = table.column_index(name)
-            coords = [r[i] for r in table.rows]
-            length = (max(coords) + 1) if coords else 1
+            length = max(r[i] for r in table.rows) + 1
         dims.append((name, length))
     opts = {"dims": dims}
     if maps:
@@ -413,7 +390,8 @@ def migrate(catalog, alias, from_engine, to_engine, specs, table=None):
     table = normalize_for_engine(target_model, table)
     options = {}
     if target_model == ARRAY:
-        options = load_options_for_model(ARRAY, table, inverse)
+        options = _array_load_options(
+            table, inverse.dim_maps if inverse is not None else None)
     name = temp_name(to_engine, table, options)
     if catalog.owner(name) is None:
         catalog.load(to_engine, name, table, options, temporary=True)

@@ -15,7 +15,7 @@ from itertools import product
 
 from . import sql
 from .errors import PlanningError
-from .migrator import ARRAY, CastSpec, KEYVALUE, RELATIONAL, chain_for
+from .migrator import KEYVALUE, RELATIONAL, chain_for
 from .querylang import (
     AliasRef, ArrayOp, CastNode, D4mOp, ObjRef, RawExpr, ScopeNode, TextOp,
     collect_constants,
@@ -524,7 +524,13 @@ def enumerate_plans(containers, remainder, registry, catalog, cap=16):
                     bindings[inp] = ("staged",)
                     continue
                 meta = src.meta if src is not None else {}
-                chain = _build_chain(model[inp], need, meta)
+                # every migration moves associative data, so it passes
+                # through the triple form
+                chain = [] if model[inp] == need else (
+                    chain_for(model[inp], KEYVALUE,
+                              dim_cols=meta.get("dim_cols"),
+                              dim_maps=meta.get("dim_maps"))
+                    + chain_for(KEYVALUE, need))
                 if (inp, site, need) not in migrated:
                     node_steps.append(Migrate(home[inp], site, inp, chain))
                     migrated.add((inp, site, need))
@@ -540,19 +546,6 @@ def enumerate_plans(containers, remainder, registry, catalog, cap=16):
         plans.setdefault(plan.id, plan)
     ordered = sorted(plans.values(), key=lambda p: (p.estimated_moves, p.id))
     return ordered[:cap]
-
-
-def _build_chain(src_model, need_model, meta):
-    if src_model == need_model:
-        return []
-    if src_model == ARRAY:
-        # array-model values need their key maps to re-enter the
-        # associative world
-        spec = CastSpec(ARRAY, KEYVALUE,
-                        dim_cols=tuple(meta.get("dim_cols") or ()) or None,
-                        dim_maps=meta.get("dim_maps"))
-        return [spec] + _build_chain(KEYVALUE, need_model, {})
-    return chain_for(src_model, need_model)
 
 
 # --- explain -----------------------------------------------------------------------

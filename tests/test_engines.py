@@ -234,6 +234,19 @@ def test_relational_statement_errors_fire_before_any_row(catalog):
             catalog.execute_native("rel", query)
 
 
+
+def test_relational_rejects_duplicate_table_bindings(catalog):
+    catalog.load("rel", "a", CanonicalTable([("k", "int")], [(1,)]), {})
+    catalog.load("rel", "b", CanonicalTable([("m", "int")], [(1,)]), {})
+    for query, binding in [
+        ("SELECT * FROM a x JOIN b x ON x.k = x.m", "x"),
+        ("SELECT * FROM b JOIN b ON m = m", "b"),
+    ]:
+        with pytest.raises(SchemaError,
+                           match=f"duplicate table binding '{binding}'"):
+            catalog.execute_native("rel", query)
+
+
 # --- key-value ------------------------------------------------------------------
 
 NOTES = CanonicalTable(
@@ -311,6 +324,55 @@ def test_array_bounds_checked_on_load(catalog):
     dup = CanonicalTable([("p", "int"), ("v", "real")], [(0, 1.0), (0, 2.0)])
     with pytest.raises(SchemaError):
         catalog.load("arr", "d", dup, {"dims": [("p", 1)]})
+
+
+
+def load_assoc(catalog, engine, name, entries, val_tag):
+    """Load {(row, col): value} on kv as triples, or on arr as rank
+    coordinates plus key maps."""
+    if engine == "kv":
+        catalog.load("kv", name, generators.entries_table(entries, val_tag), {})
+        return
+    rmap = sorted({r for r, _ in entries})
+    cmap = sorted({c for _, c in entries})
+    rows = sorted((rmap.index(r), cmap.index(c), v)
+                  for (r, c), v in entries.items())
+    catalog.load(
+        "arr", name,
+        CanonicalTable([("r", "int"), ("c", "int"), ("v", val_tag)], rows),
+        {"dims": [("r", len(rmap)), ("c", len(cmap))],
+         "dim_maps": [rmap, cmap]})
+
+
+@pytest.mark.parametrize("engine", ["kv", "arr"])
+def test_assoc_ops_agree_on_kv_and_arr(catalog, engine):
+    rng = random.Random(23)
+    a = generators.random_assoc_entries(rng, max_dim=8, val_tag="int")
+    b = generators.random_assoc_entries(rng, max_dim=8, val_tag="int")
+    load_assoc(catalog, engine, "A", a, "int")
+    load_assoc(catalog, engine, "B", b, "int")
+    load_assoc(catalog, engine, "T", {("p1", "n0"): "fever"}, "text")
+    for query, want in [
+        ("MATMUL A B", oracle.matmul(a, b)),
+        ("MATMUL A B SEMIRING plus.times", oracle.matmul(a, b)),
+        ("EWISE A B plus", oracle.ewise(a, b, "plus")),
+        ("EWISE A B min", oracle.ewise(a, b, "min")),
+        ("EWISE A B max", oracle.ewise(a, b, "max")),
+    ]:
+        got = catalog.execute_native(engine, query)
+        assert got.schema == [("row", "text"), ("col", "text"), ("val", "int")]
+        assert got.rows == oracle.entries_to_triples(want), query
+    # errors come in the order: parse, numeric operand, semiring/op name
+    for query, error in [
+        ("MATMUL A B SEMIRING bogus.times", SchemaError),
+        ("EWISE A B times", SchemaError),
+        ("MATMUL A T", TypeMismatchError),
+        ("EWISE T B plus", TypeMismatchError),
+        ("MATMUL T B SEMIRING bogus.times", TypeMismatchError),
+        ("MATMUL T B trailing", NativeSyntaxError),
+    ]:
+        with pytest.raises(error):
+            catalog.execute_native(engine, query)
 
 
 # --- catalog --------------------------------------------------------------------

@@ -4,10 +4,12 @@ import random
 import pytest
 
 import generators
+from polydawg import executor
 from polydawg.errors import InternalConsistencyError
 from polydawg.executor import (
     StepDelayModel, System, SystemConfig, UsageTracker, VirtualClock,
 )
+from polydawg.migrator import apply_cast
 from polydawg.monitor import MonitorDB
 from polydawg.planner import CrossOp
 
@@ -234,3 +236,40 @@ def test_background_programming_errors_reach_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="bug in a plan step"):
         system.drain_background(force=True)
     assert not [r for r in system.monitor.records if r.phase == "failed"]
+
+
+WAVE = "array(subarray(waveform, patient=0:3, t=0:2))"
+PATIENT_AGES = "relational(SELECT id, age FROM patients)"
+NOTES = "text(scan(notes, rows='p00001':'p00005'))"
+USER_CASTS = {
+    ("relational", "keyvalue"):
+        f"d4m(transpose(cast({PATIENT_AGES}, d4m, key=id)))",
+    ("relational", "array"):
+        f"array(filter(cast({PATIENT_AGES}, array, key=id), v > 50))",
+    ("keyvalue", "relational"):
+        f"relational(SELECT * FROM cast({NOTES}, relational) n)",
+    ("keyvalue", "array"): f"array(filter(cast({NOTES}, array), r >= 0))",
+    ("array", "relational"):
+        f"relational(SELECT * FROM cast({WAVE}, relational) w)",
+    ("array", "keyvalue"): f"d4m(transpose(cast({WAVE}, d4m)))",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(USER_CASTS), ids="->".join)
+def test_user_cast_output_has_its_validated_schema(pair, monkeypatch):
+    system = fresh_system()
+    text = USER_CASTS[pair]
+    leaves = system.plan_query(text).resolved.leaves.values()
+    (schema,) = {tuple(info.schema) for info in leaves if info.kind == "cast"}
+    outputs = []
+
+    def recording_cast(table, spec):
+        out = apply_cast(table, spec)
+        if spec.target_model == pair[1]:  # the last hop of the chain
+            outputs.append(tuple(out[0].schema))
+        return out
+
+    monkeypatch.setattr(executor, "apply_cast", recording_cast)
+    report = system.run_training(text)
+    assert report.result.rows
+    assert outputs and set(outputs) == {schema}

@@ -120,9 +120,13 @@ def test_chain_for_routes_through_assoc():
     direct = chain_for(RELATIONAL, KEYVALUE, key=("id",))
     assert [s.target_model for s in direct] == [KEYVALUE]
     assert direct[0].key == ("id",)
-    via = chain_for(ARRAY, RELATIONAL)
-    assert [(s.source_model, s.target_model) for s in via] == [
-        (ARRAY, KEYVALUE), (KEYVALUE, RELATIONAL)]
+    direct = chain_for(ARRAY, RELATIONAL)
+    assert [(s.source_model, s.target_model) for s in direct] == [
+        (ARRAY, RELATIONAL)]
+    # only relational->array lacks the metadata for its direct rule
+    via = chain_for(RELATIONAL, ARRAY, key=("id",))
+    assert [(s.source_model, s.target_model, s.key) for s in via] == [
+        (RELATIONAL, KEYVALUE, ("id",)), (KEYVALUE, ARRAY, None)]
     table = CanonicalTable(
         [("r", "text"), ("c", "text"), ("v", "int")], [("a", "b", 1)]
     )

@@ -153,3 +153,64 @@ def test_render_explain_mentions_all_parts(env):
     assert "structure:" in text
     assert "plans (3):" in text
     assert text.count("plan ") == 3
+
+
+# Plan ids are the identities stored in the monitor log, so these are
+# pinned: a refactor that changes a plan's steps or chains shows up here.
+CODOSE = ("cast(relational(SELECT patient_id, SUM(dose) AS dose "
+          "FROM meds GROUP BY patient_id), d4m, key=patient_id)")
+
+
+def migrations(p):
+    return [s for s in p.steps if isinstance(s, Migrate)]
+
+
+def by_site(plans):
+    return {next(s.site for s in p.steps if isinstance(s, CrossOp)): p
+            for p in plans}
+
+
+def hops(step):
+    return [(s.source_model, s.target_model) for s in step.chain]
+
+
+def test_array_leaf_reaches_rel_through_assoc_with_its_key_maps(env):
+    catalog, _ = env
+    _, _, plans = plan(env, "d4m(matmul(dosemat, vitals))")
+    assert [p.id for p in plans] == [
+        "4116667b97c6b3ba", "da58e7d525ccad8e", "b08ba081f882444b"]
+    moved = migrations(by_site(plans)["rel"])
+    assert [m.norm() for m in moved] == [
+        "M[arr->rel:c0:array->keyvalue,keyvalue->relational]",
+        "M[kv->rel:c1:keyvalue->relational]"]
+    assert hops(moved[0]) == [("array", "keyvalue"), ("keyvalue", "relational")]
+    dosemat = catalog.engine("arr").array("dosemat")
+    assert moved[0].chain[0].dim_maps == dosemat.dim_maps
+    assert moved[0].chain[0].dim_cols == ("r", "c")
+
+
+def test_triple_relation_reaches_arr_through_assoc(env):
+    _, _, plans = plan(env, "d4m(matmul(dose_rc, dosemat))")
+    assert [p.id for p in plans] == [
+        "1e60bdcb8a4abec4", "aaea8cddd8fa8d01", "c394ef574d05b071"]
+    (moved,) = migrations(by_site(plans)["arr"])
+    assert moved.norm() == (
+        "M[rel->arr:c0:relational->keyvalue,keyvalue->array]")
+    assert [(s.source_model, s.target_model, s.key) for s in moved.chain] == [
+        ("relational", "keyvalue", ("r",)), ("keyvalue", "array", None)]
+
+
+def test_codosing_plan_ids_and_migrations_are_pinned(env):
+    _, _, plans = plan(env, f"d4m(matmul({CODOSE}, transpose({CODOSE})))")
+    assert {p.id: [m.norm() for m in migrations(p)] for p in plans} == {
+        "1d7c63401ca9543d": ["M[None->rel:r1:keyvalue->relational]",
+                             "M[None->arr:r0:keyvalue->array]",
+                             "M[None->arr:r2:keyvalue->array]"],
+        "29b4e10363250949": ["M[None->rel:r1:keyvalue->relational]",
+                             "M[None->kv:r0:]", "M[None->kv:r2:]"],
+        "e244352cef6d3f5f": ["M[None->rel:r1:keyvalue->relational]",
+                             "M[None->rel:r0:keyvalue->relational]",
+                             "M[None->rel:r2:keyvalue->relational]"],
+    }
+    assert [p.id for p in plans] == [
+        "1d7c63401ca9543d", "29b4e10363250949", "e244352cef6d3f5f"]

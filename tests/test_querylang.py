@@ -181,6 +181,17 @@ def test_validate_reports_statement_errors_like_the_engine(env):
     check(env, "relational(SELECT id FROM patients WHERE age > 'x')")
 
 
+
+def test_validate_rejects_duplicate_table_bindings(env):
+    for body, binding in [
+        ("SELECT * FROM patients x JOIN meds x ON x.id = x.patient_id", "x"),
+        ("SELECT * FROM meds JOIN meds ON drug = drug", "meds"),
+    ]:
+        with pytest.raises(ValidationError,
+                           match=f"duplicate table binding '{binding}'"):
+            check(env, f"relational({body})")
+
+
 def test_validate_raw_scope_is_opaque(env):
     resolved = check(env, "raw.kv(SCAN notes)")
     assert resolved.scope_info(resolved.ast.root).schema is None
