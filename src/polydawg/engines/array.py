@@ -7,7 +7,7 @@ associative arrays are encoded here; MATMUL/EWISE use those maps to
 align keys and emit triple tables.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import sql
 from ..canonical import CanonicalTable
@@ -28,6 +28,71 @@ class NDArray:
 
     def export_schema(self):
         return [(n, INT) for n, _ in self.dims] + list(self.attrs)
+
+
+def _rows(arr):
+    """The array's cells as export rows, in coordinate order."""
+    return [coords + attrs for coords, attrs in sorted(arr.cells.items())]
+
+
+def _aggregate(fn, vals):
+    vals = [v for v in vals if v is not None]
+    if fn == "count":
+        return len(vals)
+    if not vals:
+        return None
+    if fn == "sum":
+        return sum(vals)
+    if fn == "avg":
+        return sum(vals) / len(vals)
+    return min(vals) if fn == "min" else max(vals)
+
+
+def array_op(op, params, name, schema, ndims):
+    """``(output schema, run)`` of SUBARRAY, FILTER or AGG with parsed
+    ``params`` over the array ``name`` whose export ``schema`` starts with
+    its ``ndims`` dimensions; ``run`` maps its export rows, in coordinate
+    order, to the output rows. Every operand error is raised here, before
+    a row is read, so query validation reports what the engine would."""
+    names = [n for n, _ in schema]
+    dims = names[:ndims]
+
+    def dim(d):
+        if d not in dims:
+            raise SchemaError(f"unknown dimension {d!r}")
+        return dims.index(d)
+
+    if op == "subarray":
+        bounds = {}
+        for d, lo, hi in params["ranges"]:
+            i = dim(d)
+            if lo < 0 or hi < lo:
+                raise SchemaError(f"bad range {lo}:{hi} for {d!r}")
+            bounds[i] = (lo, hi)
+        return list(schema), lambda rows: [
+            r for r in rows
+            if all(lo <= r[i] <= hi for i, (lo, hi) in bounds.items())]
+    if op == "filter":
+        keep = compile_predicate(params["pred"], name, schema)
+        return list(schema), lambda rows: [r for r in rows if keep(r)]
+    fn, attr = params["fn"], params["attr"]
+    if attr not in names[ndims:]:
+        raise SchemaError(f"unknown attribute {attr!r}")
+    ai = names.index(attr)
+    atag = schema[ai][1]
+    if fn in ("sum", "avg") and atag == TEXT:
+        raise TypeMismatchError(f"{fn.upper()} over text attribute")
+    bidx = [dim(d) for d in params["by"]]
+
+    def run(rows):
+        groups = {}
+        for row in rows:
+            groups.setdefault(tuple(row[i] for i in bidx), []).append(row[ai])
+        return [gkey + (_aggregate(fn, groups[gkey]),)
+                for gkey in sorted(groups)]
+
+    out_tag = {"count": INT, "avg": REAL}.get(fn, atag)
+    return [(d, INT) for d in params["by"]] + [(fn, out_tag)], run
 
 
 class ArrayEngine(Engine):
@@ -94,10 +159,12 @@ class ArrayEngine(Engine):
     def array(self, name):
         return self._get(name)
 
+    def schema_of(self, name):
+        return self._get(name).export_schema()
+
     def export(self, name):
         arr = self._get(name)
-        rows = [coords + attrs for coords, attrs in sorted(arr.cells.items())]
-        return CanonicalTable(arr.export_schema(), rows)
+        return CanonicalTable(arr.export_schema(), _rows(arr))
 
     def execute_native(self, query):
         try:
@@ -127,39 +194,22 @@ class ArrayEngine(Engine):
         return int(tok.text)
 
     def _subarray(self, cur):
-        arr = self._get(cur.expect_ident("object name").text)
-        dim_names = [n for n, _ in arr.dims]
-        ranges = {}
+        name = cur.expect_ident("object name").text
+        ranges = []
         while True:
             dname = cur.expect_ident("dimension name").text
-            if dname not in dim_names:
-                raise SchemaError(f"unknown dimension {dname!r}")
             cur.expect_op("=")
             lo = self._int(cur)
             cur.expect_op(":")
             hi = self._int(cur)
-            ranges[dname] = (lo, hi)
+            ranges.append((dname, lo, hi))
             if not cur.accept_op(","):
                 break
-        self._finish(cur)
-        rows = []
-        for coords, attrs in sorted(arr.cells.items()):
-            ok = all(
-                ranges.get(n, (0, length - 1))[0] <= c <= ranges.get(n, (0, length - 1))[1]
-                for c, (n, length) in zip(coords, arr.dims)
-            )
-            if ok:
-                rows.append(coords + attrs)
-        return CanonicalTable(arr.export_schema(), rows)
+        return self._run_op(cur, name, "subarray", {"ranges": ranges})
 
     def _filter(self, cur):
-        arr = self._get(cur.expect_ident("object name").text)
-        pred = sql.parse_pred(cur)
-        self._finish(cur)
-        schema = arr.export_schema()
-        keep = compile_predicate(pred, arr.name, schema)
-        rows = [coords + attrs for coords, attrs in sorted(arr.cells.items())]
-        return CanonicalTable(schema, [row for row in rows if keep(row)])
+        name = cur.expect_ident("object name").text
+        return self._run_op(cur, name, "filter", {"pred": sql.parse_pred(cur)})
 
     def _agg(self, cur):
         fn = cur.expect_ident("aggregate function").lower
@@ -168,7 +218,7 @@ class ArrayEngine(Engine):
         cur.expect_op("(")
         attr = cur.expect_ident("attribute name").text
         cur.expect_op(")")
-        arr = self._get(cur.expect_ident("object name").text)
+        name = cur.expect_ident("object name").text
         by = []
         cur.expect_keyword("by")
         cur.expect_op("(")
@@ -177,43 +227,15 @@ class ArrayEngine(Engine):
             while cur.accept_op(","):
                 by.append(cur.expect_ident("dimension name").text)
         cur.expect_op(")")
+        return self._run_op(cur, name, "agg",
+                            {"fn": fn, "attr": attr, "by": by})
+
+    def _run_op(self, cur, name, op, params):
         self._finish(cur)
-        attr_names = [n for n, _ in arr.attrs]
-        if attr not in attr_names:
-            raise SchemaError(f"unknown attribute {attr!r}")
-        ai = attr_names.index(attr)
-        atag = arr.attrs[ai][1]
-        if fn in ("sum", "avg") and atag == TEXT:
-            raise TypeMismatchError(f"{fn.upper()} over text attribute")
-        dim_names = [n for n, _ in arr.dims]
-        for d in by:
-            if d not in dim_names:
-                raise SchemaError(f"unknown dimension {d!r}")
-        bidx = [dim_names.index(d) for d in by]
-        groups = {}
-        for coords, attrs in sorted(arr.cells.items()):
-            gkey = tuple(coords[i] for i in bidx)
-            groups.setdefault(gkey, []).append(attrs[ai])
-        out_tag = {"count": INT, "avg": REAL, "sum": atag,
-                   "min": atag, "max": atag}[fn]
-        schema = [(d, INT) for d in by] + [(fn, out_tag)]
-        rows = []
-        for gkey in sorted(groups):
-            vals = [v for v in groups[gkey] if v is not None]
-            if fn == "count":
-                agg = len(vals)
-            elif not vals:
-                agg = None
-            elif fn == "sum":
-                agg = sum(vals)
-            elif fn == "avg":
-                agg = sum(vals) / len(vals)
-            elif fn == "min":
-                agg = min(vals)
-            else:
-                agg = max(vals)
-            rows.append(gkey + (agg,))
-        return CanonicalTable(schema, rows)
+        arr = self._get(name)
+        schema, run = array_op(op, params, name, arr.export_schema(),
+                               len(arr.dims))
+        return CanonicalTable(schema, run(_rows(arr)))
 
     # --- associative-array ops over key-mapped 2-D arrays ------------------
 

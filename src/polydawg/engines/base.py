@@ -71,6 +71,10 @@ class Engine:
     def execute_native(self, query):
         raise NotImplementedError
 
+    def schema_of(self, name):
+        """Schema of the object's export, read without exporting it."""
+        raise NotImplementedError
+
     def load_options_for(self, name):
         """Options that would recreate the object from its export."""
         return {}
@@ -128,12 +132,9 @@ class EngineCatalog:
         self.engines[eid].drop(name)
         self._temps.discard(name)
 
-    def temporaries(self):
-        return sorted(self._temps)
-
-    def drop_temporaries(self, names=None):
-        for name in list(names if names is not None else self._temps):
-            if name in self._temps and self.owner(name) is not None:
+    def drop_temporaries(self):
+        for name in list(self._temps):
+            if self.owner(name) is not None:
                 self.drop(name)
             self._temps.discard(name)
 

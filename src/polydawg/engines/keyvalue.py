@@ -5,12 +5,12 @@ in row-major lexicographic order. The native language covers range
 scans, value grep, and the D4M-style semiring matmul / elementwise ops.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import sql
 from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
-from ..values import INT, REAL, TEXT, is_numeric_tag, tag_of
+from ..values import REAL, TEXT, is_numeric_tag, tag_of
 from .base import Engine
 
 SEMIRINGS = {
@@ -27,11 +27,13 @@ class AssociativeArray:
     val_tag: str = REAL
 
 
+def triple_schema(val_tag):
+    return [("row", TEXT), ("col", TEXT), ("val", val_tag)]
+
+
 def entries_to_table(entries, val_tag):
     rows = [(r, c, v) for (r, c), v in sorted(entries.items())]
-    return CanonicalTable(
-        [("row", TEXT), ("col", TEXT), ("val", val_tag)], rows
-    )
+    return CanonicalTable(triple_schema(val_tag), rows)
 
 
 def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
@@ -146,8 +148,8 @@ class KeyValueEngine(Engine):
         arr = self._get(name)
         return entries_to_table(arr.entries, arr.val_tag)
 
-    def array(self, name):
-        return self._get(name)
+    def schema_of(self, name):
+        return triple_schema(self._get(name).val_tag)
 
     def execute_native(self, query):
         try:

@@ -93,12 +93,16 @@ def _fmt_kv_range(which, rng):
     return f'{which} {sql.quote_dq(rng[0])}:{sql.quote_dq(rng[1])}'
 
 
-def _t_text_scan(expr, binding):
-    parts = [f"SCAN {binding(expr.obj)}"]
+def _kv_scan(leaf, params, binding):
+    parts = [f"SCAN {binding(leaf)}"]
     for which, kw in (("rows", "ROWS"), ("cols", "COLS")):
-        if which in expr.params:
-            parts.append(_fmt_kv_range(kw, expr.params[which]))
+        if which in params:
+            parts.append(_fmt_kv_range(kw, params[which]))
     return " ".join(parts)
+
+
+def _t_text_scan(expr, binding):
+    return _kv_scan(expr.obj, expr.params, binding)
 
 
 def _t_text_grep(expr, binding):
@@ -121,19 +125,15 @@ def _t_array_agg(expr, binding):
 
 
 def _t_d4m_select_kv(expr, binding):
-    parts = [f"SCAN {binding(expr.inputs[0])}"]
-    for which, kw in (("rows", "ROWS"), ("cols", "COLS")):
-        if which in expr.params:
-            parts.append(_fmt_kv_range(kw, expr.params[which]))
-    return " ".join(parts)
+    return _kv_scan(expr.inputs[0], expr.params, binding)
 
 
-def _t_d4m_matmul_kv(expr, binding):
+def _t_d4m_matmul(expr, binding):
     a, b = (binding(x) for x in expr.inputs)
     return f"MATMUL {a} {b} SEMIRING plus.times"
 
 
-def _t_d4m_ewise_kv(expr, binding):
+def _t_d4m_ewise(expr, binding):
     a, b = (binding(x) for x in expr.inputs)
     return f"EWISE {a} {b} {expr.params['ewise_op']}"
 
@@ -147,30 +147,20 @@ def _t_d4m_select_rel(expr, binding):
             conds.append(f"{col} >= {sql.quote_sq(lo)}")
             conds.append(f"{col} <= {sql.quote_sq(hi)}")
     where = f" WHERE {' AND '.join(conds)}" if conds else ""
-    return f"SELECT r, c, v FROM {name}{where}"
+    return f"SELECT r AS row, c AS col, v AS val FROM {name}{where}"
 
 
 def _t_d4m_matmul_rel(expr, binding):
     a, b = (binding(x) for x in expr.inputs)
     return (
-        f"SELECT a.r, b.c, SUM(a.v * b.v) AS v FROM {a} a JOIN {b} b "
-        "ON a.c = b.r GROUP BY a.r, b.c"
+        f"SELECT a.r AS row, b.c AS col, SUM(a.v * b.v) AS val "
+        f"FROM {a} a JOIN {b} b ON a.c = b.r GROUP BY a.r, b.c"
     )
 
 
 def _t_d4m_transpose_rel(expr, binding):
     name = binding(expr.inputs[0])
-    return f"SELECT a.c AS r, a.r AS c, a.v AS v FROM {name} a"
-
-
-def _t_d4m_matmul_arr(expr, binding):
-    a, b = (binding(x) for x in expr.inputs)
-    return f"MATMUL {a} {b} SEMIRING plus.times"
-
-
-def _t_d4m_ewise_arr(expr, binding):
-    a, b = (binding(x) for x in expr.inputs)
-    return f"EWISE {a} {b} {expr.params['ewise_op']}"
+    return f"SELECT a.c AS row, a.r AS col, a.v AS val FROM {name} a"
 
 
 def _t_passthrough(expr, binding):
@@ -209,12 +199,12 @@ def register_defaults(catalog):
                frozenset({"select", "matmul", "ewise", "transpose"}),
                ("rel", "kv", "arr"), "rel"),
         {
-            "kv": {"select": _t_d4m_select_kv, "matmul": _t_d4m_matmul_kv,
-                   "ewise": _t_d4m_ewise_kv},
+            "kv": {"select": _t_d4m_select_kv, "matmul": _t_d4m_matmul,
+                   "ewise": _t_d4m_ewise},
             "rel": {"select": _t_d4m_select_rel,
                     "matmul": _t_d4m_matmul_rel,
                     "transpose": _t_d4m_transpose_rel},
-            "arr": {"matmul": _t_d4m_matmul_arr, "ewise": _t_d4m_ewise_arr},
+            "arr": {"matmul": _t_d4m_matmul, "ewise": _t_d4m_ewise},
         },
     )
     for engine_id, eng in catalog.engines.items():

@@ -12,10 +12,9 @@ passes through the associative triple form because its direct rule needs
 dimension columns the caller does not have.
 """
 
-import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .canonical import CanonicalTable, write_cif
+from .canonical import CanonicalTable
 from .errors import CastError
 from .values import INT, REAL, TEXT, is_numeric_tag
 
@@ -340,10 +339,11 @@ def chain_for(source_model, target_model, key=None, dim_cols=None,
                      dim_maps=dim_maps)]
 
 
-def temp_name(to_engine, table, options):
-    payload = (to_engine + "\x00" + repr(sorted((options or {}).items()))
-               + "\x00" + write_cif(table))
-    return "__mig_" + hashlib.sha256(payload.encode()).hexdigest()[:16]
+def temp_name(alias, to_engine):
+    """Name of the temporary holding ``alias`` on ``to_engine``: a plan
+    moves each alias to each site at most once, and every plan drops its
+    temporaries when it ends."""
+    return f"__mig_{alias}_{to_engine}"
 
 
 def _array_load_options(table, maps):
@@ -392,7 +392,7 @@ def migrate(catalog, alias, from_engine, to_engine, specs, table=None):
     if target_model == ARRAY:
         options = _array_load_options(
             table, inverse.dim_maps if inverse is not None else None)
-    name = temp_name(to_engine, table, options)
+    name = temp_name(alias, to_engine)
     if catalog.owner(name) is None:
         catalog.load(to_engine, name, table, options, temporary=True)
     return name

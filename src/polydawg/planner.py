@@ -16,11 +16,7 @@ from itertools import product
 from . import sql
 from .errors import PlanningError
 from .migrator import KEYVALUE, RELATIONAL, chain_for
-from .querylang import (
-    AliasRef, ArrayOp, CastNode, D4mOp, ObjRef, RawExpr, ScopeNode, TextOp,
-    collect_constants,
-)
-from .values import REAL, TEXT
+from .querylang import ArrayOp, D4mOp, RawExpr, TextOp, collect_constants
 
 EMPTY_REMAINDER_SENTINEL = "empty-remainder"
 
@@ -44,7 +40,6 @@ def normalize_native(text):
 class Container:
     engine_id: str
     query: str
-    schema: object
     alias: str
     out_model: str
     source_leaf: object = None  # object name when this is a pure leaf fetch
@@ -68,7 +63,6 @@ class RNode:
     inputs: list  # input aliases in leaf order
     leaf_aliases: dict  # id(leaf node) -> input alias
     out_model: str
-    schema: object
     params: dict = field(default_factory=dict)  # cast: spec info
 
     def norm(self):
@@ -239,8 +233,8 @@ class _Decomposer:
             meta = {"dim_maps": arr.dim_maps,
                     "dim_cols": [n for n, _ in arr.dims]}
         return self.add_container(
-            engine_id=info.engine, query=query, schema=info.schema,
-            out_model=info.model, source_leaf=info.name, meta=meta,
+            engine_id=info.engine, query=query, out_model=info.model,
+            source_leaf=info.name, meta=meta,
         )
 
     def frag_cast(self, cast):
@@ -254,8 +248,7 @@ class _Decomposer:
         }
         return self.add_node(
             kind="cast", island=None, expr=None, inputs=[inner_alias],
-            leaf_aliases={}, out_model=cast_info.model,
-            schema=cast_info.schema, params=params,
+            leaf_aliases={}, out_model=cast_info.model, params=params,
         )
 
     # ----- scopes
@@ -263,17 +256,15 @@ class _Decomposer:
     def frag_scope(self, scope):
         island = self.registry.require_island(scope.island)
         expr = scope.expr
-        sinfo = self.res.scope_info(scope)
         if isinstance(expr, RawExpr):
             return self.add_container(
                 engine_id=island.default_engine, query=expr.body,
-                schema=sinfo.schema, out_model=island.model,
+                out_model=island.model,
             )
         if isinstance(expr, sql.SelectStmt):
-            return self.frag_select(scope, island, expr, sinfo)
+            return self.frag_select(scope, island, expr)
         if isinstance(expr, D4mOp):
-            alias, _ = self.frag_d4m(scope, island, expr)
-            return alias
+            return self.frag_d4m(scope, island, expr)
         # text / array single-op scopes
         leaf = expr.obj
         info = self.res.leaf(leaf)
@@ -282,18 +273,14 @@ class _Decomposer:
                                             island.default_engine)
             return self.add_container(
                 engine_id=island.default_engine, query=query,
-                schema=sinfo.schema, out_model=self._expr_out_model(expr, island),
-                meta=self._expr_meta(expr, info),
+                out_model=island.model, meta=self._expr_meta(expr, info),
             )
         input_alias = self.frag_cast(info.cast)
         return self.add_node(
             kind=expr.op, island=scope.island, expr=expr,
             inputs=[input_alias], leaf_aliases={id(leaf): input_alias},
-            out_model=self._expr_out_model(expr, island), schema=sinfo.schema,
+            out_model=island.model,
         )
-
-    def _expr_out_model(self, expr, island):
-        return island.model
 
     def _expr_meta(self, expr, info):
         """Dimension metadata carried forward for later model casts."""
@@ -305,7 +292,7 @@ class _Decomposer:
         arr = self.catalog.engine(info.engine).array(info.name)
         return {"dim_cols": [n for n, _ in arr.dims], "dim_maps": arr.dim_maps}
 
-    def frag_select(self, scope, island, stmt, sinfo):
+    def frag_select(self, scope, island, stmt):
         refs = stmt.table_refs()
         infos = [self.res.leaf(ref) for ref in refs]
         if all(i.kind == "object" for i in infos):
@@ -315,7 +302,7 @@ class _Decomposer:
             )
             return self.add_container(
                 engine_id=island.default_engine, query=query,
-                schema=sinfo.schema, out_model=RELATIONAL,
+                out_model=RELATIONAL,
             )
         # mixed: per-table fetch containers (with pushed-down conjuncts) +
         # a remainder select node carrying the full statement
@@ -337,7 +324,6 @@ class _Decomposer:
         node_alias = self.add_node(
             kind="select", island=scope.island, expr=stmt, inputs=inputs,
             leaf_aliases=leaf_aliases, out_model=RELATIONAL,
-            schema=sinfo.schema,
         )
         return node_alias
 
@@ -348,19 +334,18 @@ class _Decomposer:
         if pushed:
             base += " WHERE " + " AND ".join(sql.pp_expr(c) for c in pushed)
         return self.add_container(
-            engine_id=info.engine, query=base, schema=info.schema,
-            out_model=RELATIONAL,
+            engine_id=info.engine, query=base, out_model=RELATIONAL,
             source_leaf=info.name if not pushed else None,
         )
 
     def frag_d4m(self, scope, island, node):
-        """Returns (alias or None, obj-info or None): engine-pure leaf sets
-        stay symbolic until we know whether the whole op is a container."""
+        """Alias of the op's value; engine-pure leaf sets stay symbolic
+        until we know whether the whole op is a container."""
         descs = []  # ('obj', info, leaf) | ('alias', alias, leaf)
         for child in node.inputs:
             if isinstance(child, D4mOp):
-                alias, _ = self.frag_d4m(scope, island, child)
-                descs.append(("alias", alias, child))
+                descs.append(("alias", self.frag_d4m(scope, island, child),
+                              child))
             else:
                 info = self.res.leaf(child)
                 if info.kind == "object":
@@ -372,12 +357,9 @@ class _Decomposer:
             engine = engines.pop()
             if self.registry.supports(scope.island, engine, node.op):
                 query = self.registry.translate(scope.island, node, engine)
-                schema = self._d4m_schema(node)
-                alias = self.add_container(
-                    engine_id=engine, query=query, schema=schema,
-                    out_model=KEYVALUE,
+                return self.add_container(
+                    engine_id=engine, query=query, out_model=KEYVALUE,
                 )
-                return alias, None
         leaf_aliases = {}
         inputs = []
         for kind, payload, leaf in descs:
@@ -387,15 +369,10 @@ class _Decomposer:
                 alias = payload
             leaf_aliases[id(leaf)] = alias
             inputs.append(alias)
-        alias = self.add_node(
+        return self.add_node(
             kind=node.op, island=scope.island, expr=node, inputs=inputs,
             leaf_aliases=leaf_aliases, out_model=KEYVALUE,
-            schema=self._d4m_schema(node),
         )
-        return alias, None
-
-    def _d4m_schema(self, node):
-        return [("row", TEXT), ("col", TEXT), ("val", REAL)]
 
 
 def _split_conjuncts(pred):
@@ -463,7 +440,7 @@ def signature_of(remainder, resolved):
 
 # --- plan enumeration ------------------------------------------------------------
 
-def _input_model_for(kind, island, site_model):
+def _input_model_for(kind, site_model):
     """Model in which a cross-op wants its inputs materialized."""
     if kind == "select":
         return RELATIONAL
@@ -508,7 +485,7 @@ def enumerate_plans(containers, remainder, registry, catalog, cap=16):
                 model[node.alias] = node.out_model
                 continue
             site_model = catalog.engine(site).model
-            need = _input_model_for(node.kind, node.island, site_model)
+            need = _input_model_for(node.kind, site_model)
             bindings = {}
             for inp in node.inputs:
                 src = by_alias.get(inp)

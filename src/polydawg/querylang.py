@@ -11,8 +11,16 @@ scopes carry their body through byte-identically.
 from dataclasses import dataclass, field as dc_field
 
 from . import sql
-from .errors import QuerySyntaxError, ValidationError
-from .values import INT, REAL, TEXT, is_numeric_tag
+from .canonical import CanonicalTable
+from .engines.array import array_op
+from .engines.keyvalue import triple_schema
+from .engines.relational import compile_select
+from .errors import (
+    CastError, CatalogError, QuerySyntaxError, SchemaError, TypeMismatchError,
+    ValidationError,
+)
+from .migrator import RELATIONAL, apply_cast, chain_for
+from .values import REAL, TEXT, is_numeric_tag
 
 
 def _span_field():
@@ -504,7 +512,7 @@ def collect_constants(ast):
 class LeafInfo:
     kind: str  # 'object' or 'cast'
     model: str
-    schema: object  # list or None when statically unknown
+    schema: list
     engine: object = None  # engine id for objects
     name: object = None  # object name or cast placeholder
     cast: object = None  # defining CastNode for kind='cast'
@@ -534,15 +542,20 @@ class ResolvedQuery:
         return self.scopes[id(scope)]
 
 
-def _triple_val_tag(schema):
-    return schema[2][1]
-
-
 def validate(ast, registry, catalog):
     """Resolve every leaf and check operators against island surfaces."""
     res = ResolvedQuery(ast, registry, catalog)
     _validate_scope(ast.root, res)
     return res
+
+
+def _statically(fn, *args):
+    """``fn(*args)``, reporting the errors an engine or cast would raise
+    on this input as validation errors."""
+    try:
+        return fn(*args)
+    except (CastError, CatalogError, SchemaError, TypeMismatchError) as e:
+        raise ValidationError(str(e)) from e
 
 
 def _resolve_object(name, island, res, span_owner):
@@ -555,87 +568,44 @@ def _resolve_object(name, island, res, span_owner):
             f"of island {island.name!r}; cast it in"
         )
     engine = res.catalog.engine(engine_id)
-    model = engine.model
-    # schema from metadata, without materializing rows
-    if model == "relational":
-        schema = engine.schema_of(name)
-    elif model == "keyvalue":
-        arr = engine.array(name)
-        schema = [("row", TEXT), ("col", TEXT), ("val", arr.val_tag)]
-    else:
-        schema = engine.array(name).export_schema()
-    info = LeafInfo("object", model, schema, engine=engine_id, name=name)
+    info = LeafInfo("object", engine.model, engine.schema_of(name),
+                    engine=engine_id, name=name)
     res.leaves[id(span_owner)] = info
     return info
 
 
-def _cast_output(inner_info, cast, res):
-    """Model and schema of a cast result."""
-    target_island = res.registry.island(cast.target_island)
-    tmodel = target_island.model
-    smodel = inner_info.model
-    sschema = inner_info.schema
-    if smodel == tmodel:
-        return tmodel, sschema
-    if sschema is None:
-        return tmodel, None
-    if smodel == "relational" and tmodel == "keyvalue":
-        if not cast.key:
-            raise ValidationError(
-                "cast from relational to an associative model requires key=..."
-            )
-        names = [n for n, _ in sschema]
-        for k in cast.key:
-            if k not in names:
-                raise ValidationError(f"cast key column {k!r} not in {names}")
-        if names == ["r", "c", "v"] and tuple(cast.key) == ("r",):
-            return tmodel, [("row", TEXT), ("col", TEXT), ("val", sschema[2][1])]
-        attr_tags = {t for n, t in sschema if n not in cast.key}
-        if len(attr_tags) != 1:
-            raise ValidationError("cast non-key columns must share one tag")
-        return tmodel, [("row", TEXT), ("col", TEXT), ("val", attr_tags.pop())]
-    if smodel == "keyvalue" and tmodel == "relational":
-        return tmodel, [("r", TEXT), ("c", TEXT), ("v", _triple_val_tag(sschema))]
-    if smodel == "array" and tmodel == "relational":
-        return tmodel, list(sschema)
-    if smodel == "array" and tmodel == "keyvalue":
-        if len(sschema) != 3:
-            raise ValidationError(
-                "cast from array to associative needs 2 dims and 1 attribute"
-            )
-        return tmodel, [("row", TEXT), ("col", TEXT), ("val", sschema[2][1])]
-    if smodel == "keyvalue" and tmodel == "array":
-        return tmodel, [("r", INT), ("c", INT), ("v", _triple_val_tag(sschema))]
-    if smodel == "relational" and tmodel == "array":
-        if not cast.key:
-            raise ValidationError(
-                "cast from relational to array routes through the associative "
-                "model and requires key=..."
-            )
-        _, kv_schema = _cast_output(
-            inner_info, CastNode(cast.inner, "d4m", cast.alias, cast.key,
-                                 cast.placeholder), res
+def _cast_schema(inner, cast, target_model):
+    """Schema of a cast result: the chain the executor runs for the cast,
+    applied to an empty table of the inner scope's schema."""
+    if (inner.model == RELATIONAL and target_model != RELATIONAL
+            and not cast.key):
+        raise ValidationError(
+            f"cast from relational to {target_model} requires key=..."
         )
-        return tmodel, [("r", INT), ("c", INT), ("v", kv_schema[2][1])]
-    raise ValidationError(f"unsupported cast {smodel} -> {tmodel}")
+    table = CanonicalTable(inner.schema)
+    for spec in chain_for(inner.model, target_model, key=cast.key):
+        table, _ = apply_cast(table, spec)
+    return table.schema
 
 
 def _resolve_cast(cast, enclosing_island, res):
-    inner_scope_info = _validate_scope(cast.inner, res)
+    inner = _validate_scope(cast.inner, res)
+    if inner.schema is None:
+        raise ValidationError(
+            "a raw scope result has no schema and cannot be cast"
+        )
     target = res.registry.island(cast.target_island)
     if target is None:
         raise ValidationError(f"unknown island {cast.target_island!r}")
-    inner_info = LeafInfo(
-        "scope", inner_scope_info.model, inner_scope_info.schema
-    )
-    model, schema = _cast_output(inner_info, cast, res)
-    if model != enclosing_island.model:
+    if target.model != enclosing_island.model:
         raise ValidationError(
-            f"cast to island {cast.target_island!r} (model {model}) used "
-            f"inside island {enclosing_island.name!r} "
+            f"cast to island {cast.target_island!r} (model {target.model}) "
+            f"used inside island {enclosing_island.name!r} "
             f"(model {enclosing_island.model})"
         )
-    info = LeafInfo("cast", model, schema, name=cast.placeholder, cast=cast)
+    schema = _statically(_cast_schema, inner, cast, target.model)
+    info = LeafInfo("cast", target.model, schema, name=cast.placeholder,
+                    cast=cast)
     res.leaves[id(cast)] = info
     return info
 
@@ -701,23 +671,12 @@ def _validate_scope(scope, res):
                 res.leaves[id(ref)] = info_
             else:
                 info_ = _resolve_object(ref.name, island, res, ref)
-            if info_.schema is None:
-                raise ValidationError(
-                    "a raw scope result cannot be used as a typed table; "
-                    "cast it through a concrete island"
-                )
             table_schemas[ref.binding] = info_.schema
-        from .engines.relational import compile_select
-        from .errors import CatalogError, SchemaError, TypeMismatchError
-        try:
-            out_schema = compile_select(expr, table_schemas).schema
-        except (CatalogError, SchemaError, TypeMismatchError) as e:
-            raise ValidationError(str(e)) from e
+        out_schema = _statically(compile_select, expr, table_schemas).schema
         info = ScopeInfo(scope.island, island.model, out_schema)
     elif isinstance(expr, D4mOp):
         val_tag = _validate_d4m(expr, island, scope, res)
-        info = ScopeInfo(scope.island, island.model,
-                         [("row", TEXT), ("col", TEXT), ("val", val_tag)])
+        info = ScopeInfo(scope.island, island.model, triple_schema(val_tag))
     elif isinstance(expr, TextOp):
         _check_op(island, expr.op)
         linfo = _validate_leaf(expr.obj, island, scope, res)
@@ -733,7 +692,15 @@ def _validate_scope(scope, res):
             raise ValidationError(
                 f"array island operates on array data, got {linfo.model}"
             )
-        schema = _array_op_schema(expr, linfo)
+        if linfo.kind == "object":
+            name = linfo.name
+            ndims = len(res.catalog.engine(linfo.engine).array(name).dims)
+        else:
+            # a cast result reaches the array engine as a temporary that the
+            # plan names and whose first two columns are its dimensions
+            name, ndims = None, 2
+        schema, _ = _statically(array_op, expr.op, expr.params, name,
+                                linfo.schema, ndims)
         info = ScopeInfo(scope.island, island.model, schema)
     else:
         raise ValidationError(f"unsupported island expression {expr!r}")
@@ -750,36 +717,10 @@ def _validate_d4m(node, island, scope, res):
         else:
             info = _validate_leaf(child, island, scope, res)
             _d4m_leaf_check(info)
-            tags.append(_triple_val_tag(info.schema))
+            tags.append(info.schema[2][1])
     if node.op in ("matmul", "ewise"):
         for t in tags:
             if not is_numeric_tag(t):
                 raise ValidationError(f"{node.op} requires numeric values")
         return tags[0] if tags[0] == tags[1] else REAL
     return tags[0]
-
-
-def _array_op_schema(expr, linfo):
-    schema = linfo.schema
-    names = [n for n, _ in schema]
-    p = expr.params
-    if expr.op == "subarray":
-        for d, lo, hi in p["ranges"]:
-            if d not in names:
-                raise ValidationError(f"unknown dimension {d!r}")
-            if lo < 0 or hi < lo:
-                raise ValidationError(f"bad range {lo}:{hi} for {d!r}")
-        return list(schema)
-    if expr.op == "filter":
-        return list(schema)
-    fn, attr, by = p["fn"], p["attr"], p["by"]
-    if attr not in names:
-        raise ValidationError(f"unknown attribute {attr!r}")
-    atag = schema[names.index(attr)][1]
-    if fn in ("sum", "avg") and atag == TEXT:
-        raise ValidationError(f"{fn.upper()} over text attribute")
-    for d in by:
-        if d not in names:
-            raise ValidationError(f"unknown dimension {d!r}")
-    out_tag = {"count": INT, "avg": REAL}.get(fn, atag)
-    return [(d, INT) for d in by] + [(fn, out_tag)]

@@ -273,3 +273,18 @@ def test_user_cast_output_has_its_validated_schema(pair, monkeypatch):
     report = system.run_training(text)
     assert report.result.rows
     assert outputs and set(outputs) == {schema}
+
+
+def test_every_plan_result_has_the_validated_root_schema():
+    system = fresh_system()
+    rng = random.Random(2024)
+    mismatches = []
+    for _ in range(400):
+        text = generators.random_query(rng)
+        pq = system.plan_query(text)
+        want = pq.resolved.scope_info(pq.resolved.ast.root).schema
+        for plan in pq.plans:
+            result, _ = system.execute_plan(pq, plan)
+            if result.schema != want:
+                mismatches.append((text, plan.id, result.schema, want))
+    assert mismatches == []

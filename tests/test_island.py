@@ -49,18 +49,19 @@ def test_exact_shim_translations(registry):
     assert registry.translate("d4m", mm, "arr") == \
         "MATMUL a b SEMIRING plus.times"
     assert registry.translate("d4m", mm, "rel") == (
-        "SELECT a.r, b.c, SUM(a.v * b.v) AS v FROM a a JOIN b b "
-        "ON a.c = b.r GROUP BY a.r, b.c")
+        "SELECT a.r AS row, b.c AS col, SUM(a.v * b.v) AS val "
+        "FROM a a JOIN b b ON a.c = b.r GROUP BY a.r, b.c")
     sel = D4mOp("select", [ObjRef("a")],
                 {"rows": ("p1", "p2"), "cols": ("c1", "c2")})
     assert registry.translate("d4m", sel, "kv") == \
         'SCAN a ROWS "p1":"p2" COLS "c1":"c2"'
     assert registry.translate("d4m", sel, "rel") == (
-        "SELECT r, c, v FROM a WHERE r >= 'p1' AND r <= 'p2' "
+        "SELECT r AS row, c AS col, v AS val FROM a "
+        "WHERE r >= 'p1' AND r <= 'p2' "
         "AND c >= 'c1' AND c <= 'c2'")
     tp = D4mOp("transpose", [ObjRef("a")])
     assert registry.translate("d4m", tp, "rel") == \
-        "SELECT a.c AS r, a.r AS c, a.v AS v FROM a a"
+        "SELECT a.c AS row, a.r AS col, a.v AS val FROM a a"
     ew = D4mOp("ewise", [ObjRef("a"), ObjRef("b")], {"ewise_op": "plus"})
     assert registry.translate("d4m", ew, "kv") == "EWISE a b plus"
 

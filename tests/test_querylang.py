@@ -181,6 +181,26 @@ def test_validate_reports_statement_errors_like_the_engine(env):
     check(env, "relational(SELECT id FROM patients WHERE age > 'x')")
 
 
+NOTES_AS_ARRAY = "array(filter(cast(text(scan(notes)), array), r >= 0))"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("array(filter(waveform, bogus > 1))", "unknown column 'bogus'"),
+    ("array(filter(cast(text(scan(notes)), array, w), w.v > 1))",
+     "unknown column 'w.v'"),
+    (f"d4m(transpose(cast({NOTES_AS_ARRAY}, d4m)))",
+     "array->assoc requires a numeric attribute"),
+    ("d4m(transpose(cast(relational(SELECT age AS r, sex AS c, age AS v "
+     "FROM patients), d4m, key=r)))", "non-key columns must share one"),
+    ("array(agg(sum(t), waveform, by(patient)))", "unknown attribute 't'"),
+    ("array(agg(count(v), waveform, by(v)))", "unknown dimension 'v'"),
+    ("array(subarray(waveform, v=0:1))", "unknown dimension 'v'"),
+    ("d4m(transpose(cast(raw.kv(SCAN notes), d4m)))", "raw scope"),
+])
+def test_validate_reports_what_the_engine_or_cast_would(env, text, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        check(env, text)
+
 
 def test_validate_rejects_duplicate_table_bindings(env):
     for body, binding in [
