@@ -9,7 +9,6 @@ Exit codes: 0 success; 2 query/input error; 3 internal-consistency error.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -122,27 +121,14 @@ def cmd_load(system, config, args):
         options["dims"] = dims
     table = load_cif(args.path)
     system.catalog.load(args.engine, args.object, table, options)
-    os.makedirs(config.data_dir, exist_ok=True)
     system.catalog.snapshot(config.data_dir)
     print(f"loaded {len(table.rows)} rows into {args.engine}.{args.object}")
     return EXIT_OK
 
 
 def cmd_load_manifest(system, config, args):
-    base = os.path.dirname(args.manifest)
-    with open(args.manifest, encoding="ascii") as fh:
-        manifest = json.load(fh)
-    total = 0
-    for name in sorted(manifest):
-        entry = manifest[name]
-        table = load_cif(os.path.join(base, entry["file"]))
-        options = dict(entry.get("options", {}))
-        if "dims" in options:
-            options["dims"] = [tuple(d) for d in options["dims"]]
-        system.catalog.load(entry["engine"], name, table, options)
-        print(f"loaded {len(table.rows)} rows into {entry['engine']}.{name}")
-        total += len(table.rows)
-    os.makedirs(config.data_dir, exist_ok=True)
+    for name, engine, rows in system.catalog.load_manifest(args.manifest):
+        print(f"loaded {rows} rows into {engine}.{name}")
     system.catalog.snapshot(config.data_dir)
     return EXIT_OK
 

@@ -5,11 +5,10 @@ and a 1000-cell waveform array; everything is deterministic given the
 seed, so repeated runs emit byte-identical files.
 """
 
-import json
-import os
 import random
 
-from .canonical import CanonicalTable, save_cif
+from .canonical import CanonicalTable
+from .engines.base import write_manifest
 from .errors import ValidationError
 
 PATIENTS_PER_SCALE = 100
@@ -77,18 +76,5 @@ def write_dataset(scale, out_dir, seed=0):
     """Write the generated tables as CIF plus a load manifest; returns
     the list of file paths written."""
     data = generate(scale, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-    manifest = {}
-    for name, (engine, table, options) in sorted(data.items()):
-        path = os.path.join(out_dir, f"{name}.cif")
-        save_cif(table, path)
-        files.append(path)
-        manifest[name] = {"engine": engine, "file": f"{name}.cif",
-                          "options": options}
-    mpath = os.path.join(out_dir, "manifest.json")
-    with open(mpath, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files.append(mpath)
-    return files
+    return write_manifest(out_dir, ((name,) + data[name]
+                                    for name in sorted(data)))

@@ -144,11 +144,6 @@ class ArrayEngine(Engine):
             dim_maps = [list(k) if k is not None else None for k in dim_maps]
         return NDArray(name, dims, attrs, cells, dim_maps)
 
-    def object_meta(self, name):
-        arr = self._get(name)
-        return {"dims": list(arr.dims), "attrs": list(arr.attrs),
-                "cells": len(arr.cells), "dim_maps": arr.dim_maps}
-
     def load_options_for(self, name):
         arr = self._get(name)
         opts = {"dims": [list(d) for d in arr.dims]}

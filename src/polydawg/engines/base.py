@@ -1,17 +1,26 @@
 """Engine interface and the catalog that owns every named object.
 
 Each engine is an in-process library over an in-memory store. The
-catalog enforces the no-replication rule: a name lives on exactly one
-engine. An optional snapshot writes every object to disk as CIF plus a
-JSON manifest so a CLI session can pick up where the last one stopped.
+catalog is the object directory: it maps each object name, temporaries
+included, to the one engine that holds it, which enforces the
+no-replication rule. A manifest is a JSON object that maps each name to
+its engine, its CIF file and its load options. Datagen output and
+catalog snapshots share that one format, written by ``write_manifest``
+and read by ``EngineCatalog.load_manifest``, so a CLI session can pick
+up where the last one stopped.
 """
 
 import json
 import os
+import re
 import threading
 
 from ..canonical import load_cif, save_cif
 from ..errors import CatalogError
+
+MANIFEST = "manifest.json"  # the file that names a directory's objects
+# what a query can name; an object's snapshot file is named after it
+_OBJECT_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Engine:
@@ -28,9 +37,6 @@ class Engine:
         self._objects = {}
         self._write_lock = threading.RLock()
 
-    def has(self, name):
-        return name in self._objects
-
     def object_names(self):
         return sorted(self._objects)
 
@@ -41,11 +47,6 @@ class Engine:
             raise CatalogError(
                 f"engine {self.engine_id!r} has no object {name!r}"
             ) from None
-
-    def object_meta(self, name):
-        """Model-specific metadata for the object directory."""
-        self._get(name)
-        return {}
 
     def load(self, name, table, options=None):
         with self._write_lock:
@@ -81,7 +82,7 @@ class Engine:
 
 
 class EngineCatalog:
-    """Directory of engines and the single home of every object name."""
+    """Engines by id, and the directory of every object name."""
 
     def __init__(self, engines):
         self.engines = {}
@@ -89,6 +90,7 @@ class EngineCatalog:
             if eng.engine_id in self.engines:
                 raise CatalogError(f"duplicate engine id {eng.engine_id!r}")
             self.engines[eng.engine_id] = eng
+        self._owners = {}  # object name -> engine id
         self._temps = set()
 
     def engine(self, engine_id):
@@ -99,25 +101,19 @@ class EngineCatalog:
 
     def owner(self, name):
         """Engine id holding the object, or None."""
-        for eid, eng in self.engines.items():
-            if eng.has(name):
-                return eid
-        return None
-
-    def require_owner(self, name):
-        eid = self.owner(name)
-        if eid is None:
-            raise CatalogError(f"unknown object {name!r}")
-        return eid
+        return self._owners.get(name)
 
     def load(self, engine_id, name, table, options=None, temporary=False):
         eng = self.engine(engine_id)
+        if not _OBJECT_NAME.fullmatch(name):
+            raise CatalogError(f"object name {name!r} is not an identifier")
         holder = self.owner(name)
         if holder is not None:
             raise CatalogError(
                 f"object {name!r} already exists on engine {holder!r}"
             )
         eng.load(name, table, options)
+        self._owners[name] = engine_id
         if temporary:
             self._temps.add(name)
 
@@ -128,61 +124,84 @@ class EngineCatalog:
         return self.engine(engine_id).execute_native(query)
 
     def drop(self, name):
-        eid = self.require_owner(name)
+        eid = self.owner(name)
+        if eid is None:
+            raise CatalogError(f"unknown object {name!r}")
         self.engines[eid].drop(name)
+        del self._owners[name]
         self._temps.discard(name)
 
     def drop_temporaries(self):
         for name in list(self._temps):
-            if self.owner(name) is not None:
-                self.drop(name)
-            self._temps.discard(name)
+            self.drop(name)
 
     def directory(self):
-        out = {}
-        for eid, eng in self.engines.items():
-            out[eid] = {
-                "model": eng.model,
-                "objects": {n: eng.object_meta(n) for n in eng.object_names()},
-            }
-        return out
+        """``{object name: engine id}``, temporaries included."""
+        return dict(self._owners)
 
-    # --- snapshot-to-disk ------------------------------------------------
+    # --- manifests -------------------------------------------------------
 
     def snapshot(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        manifest = []
-        for eid, eng in sorted(self.engines.items()):
-            for name in eng.object_names():
-                if name in self._temps:
-                    continue
-                fname = f"{eid}__{name}.cif"
-                save_cif(eng.export(name), os.path.join(directory, fname))
-                manifest.append(
-                    {"engine": eid, "object": name, "file": fname,
-                     "options": eng.load_options_for(name)}
-                )
-        with open(os.path.join(directory, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
+        """Write every non-temporary object to ``directory`` as a manifest."""
+        write_manifest(directory, (
+            (name, eid, self.export(eid, name),
+             self.engines[eid].load_options_for(name))
+            for name, eid in sorted(self._owners.items())
+            if name not in self._temps))
 
     def restore(self, directory):
-        path = os.path.join(directory, "manifest.json")
-        if not os.path.exists(path):
-            return 0
-        with open(path) as f:
-            manifest = json.load(f)
-        count = 0
-        for entry in manifest:
-            if self.owner(entry["object"]) is not None:
-                continue
-            table = load_cif(os.path.join(directory, entry["file"]))
-            options = entry.get("options") or {}
-            if "dims" in options:
-                options = dict(options)
-                options["dims"] = [tuple(d) for d in options["dims"]]
-            self.load(entry["engine"], entry["object"], table, options)
-            count += 1
-        return count
+        """Load the snapshot in ``directory``, if there is one."""
+        path = os.path.join(directory, MANIFEST)
+        if os.path.exists(path):
+            self.load_manifest(path)
+
+    def load_manifest(self, path):
+        """Load every object the manifest at ``path`` names; returns
+        ``[(name, engine id, rows)]`` in name order. Every entry is
+        checked before the first object loads."""
+        try:
+            with open(path, encoding="ascii") as fh:
+                manifest = json.load(fh)
+        except ValueError as e:
+            raise CatalogError(f"{path}: not a manifest: {e}") from None
+        if not isinstance(manifest, dict):
+            raise CatalogError(
+                f"{path}: a manifest maps each object name to its entry")
+        for name, entry in manifest.items():
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("engine"), str)
+                    and isinstance(entry.get("file"), str)
+                    and isinstance(entry.get("options", {}), dict)):
+                raise CatalogError(
+                    f"{path}: entry {name!r} needs 'engine' and 'file' "
+                    f"strings and optional 'options'")
+        base = os.path.dirname(path)
+        loaded = []
+        for name in sorted(manifest):
+            entry = manifest[name]
+            table = load_cif(os.path.join(base, entry["file"]))
+            self.load(entry["engine"], name, table, entry.get("options"))
+            loaded.append((name, entry["engine"], len(table.rows)))
+        return loaded
+
+
+def write_manifest(directory, objects):
+    """Write each ``(name, engine id, table, load options)``, in the order
+    given, as ``<name>.cif`` and the manifest naming them all; returns the
+    paths written, the manifest last."""
+    os.makedirs(directory, exist_ok=True)
+    files, manifest = [], {}
+    for name, engine_id, table, options in objects:
+        fname = f"{name}.cif"
+        files.append(os.path.join(directory, fname))
+        save_cif(table, files[-1])
+        manifest[name] = {"engine": engine_id, "file": fname,
+                          "options": options}
+    files.append(os.path.join(directory, MANIFEST))
+    with open(files[-1], "w", encoding="ascii") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return files
 
 
 def default_catalog():

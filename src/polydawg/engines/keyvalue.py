@@ -140,10 +140,6 @@ class KeyValueEngine(Engine):
             entries[(r, c)] = v
         return AssociativeArray(name, entries, tags[2])
 
-    def object_meta(self, name):
-        arr = self._get(name)
-        return {"val_tag": arr.val_tag, "entries": len(arr.entries)}
-
     def export(self, name):
         arr = self._get(name)
         return entries_to_table(arr.entries, arr.val_tag)

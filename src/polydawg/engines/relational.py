@@ -48,11 +48,6 @@ class RelationalEngine(Engine):
             key = None
         return Relation(name, list(table.schema), key, list(table.rows))
 
-    def object_meta(self, name):
-        rel = self._get(name)
-        return {"schema": list(rel.schema), "key": list(rel.key or []),
-                "rows": len(rel.rows)}
-
     def load_options_for(self, name):
         rel = self._get(name)
         return {"key": list(rel.key)} if rel.key else {}

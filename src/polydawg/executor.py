@@ -23,6 +23,12 @@ from .errors import ExecutionError, InternalConsistencyError, PolydawgError
 from .migrator import apply_cast, chain_for, migrate
 from .planner import CrossOp, ExecuteContainer, Migrate
 
+USAGE_WINDOW_S = 10.0  # engine busy fractions cover this many seconds
+# background training runs once no query has ended for IDLE_AFTER_S and
+# every engine is busy less than IDLE_BUSY_BOUND of the usage window
+IDLE_AFTER_S = 5.0
+IDLE_BUSY_BOUND = 0.2
+
 
 class WallClock:
     def now(self):
@@ -122,9 +128,6 @@ class SystemConfig:
     similarity_threshold: float = mon.SIMILARITY_THRESHOLD
     usage_bound: float = mon.USAGE_DIFFERENCE_BOUND
     plan_cap: int = 16
-    usage_window_s: float = 10.0
-    idle_after_s: float = 5.0
-    idle_busy_bound: float = 0.2
     seed: int = 0
 
 
@@ -164,7 +167,7 @@ class System:
         self.config = config or SystemConfig()
         self.clock = clock or WallClock()
         self.delay = delay_model or StepDelayModel()
-        self.usage = UsageTracker(self.config.usage_window_s)
+        self.usage = UsageTracker(USAGE_WINDOW_S)
         self.rng = random.Random(self.config.seed)
         self._last_foreground_end = float("-inf")
         self._virtual = not isinstance(self.clock, WallClock)
@@ -228,9 +231,8 @@ class System:
                     site_names[key] = self._step(
                         [step.from_engine, step.to_engine],
                         lambda step=step: migrate(
-                            self.catalog, step.alias, step.from_engine,
-                            step.to_engine, step.chain,
-                            table=env[step.alias]),
+                            self.catalog, step.alias, step.to_engine,
+                            step.chain, env[step.alias]),
                     )
                 elif isinstance(step, CrossOp):
                     env[step.node.alias] = self._run_cross_op(
@@ -268,9 +270,7 @@ class System:
                 key = (alias, step.site)
                 if key not in site_names:
                     site_names[key] = migrate(
-                        self.catalog, alias, None, step.site, [],
-                        table=env[alias],
-                    )
+                        self.catalog, alias, step.site, [], env[alias])
                 return site_names[key]
             return site_names[(alias, step.site)]
 
@@ -361,9 +361,9 @@ class System:
     # --- background training ---------------------------------------------------------
 
     def is_idle(self):
-        if self.clock.now() - self._last_foreground_end < self.config.idle_after_s:
+        if self.clock.now() - self._last_foreground_end < IDLE_AFTER_S:
             return False
-        return all(frac < self.config.idle_busy_bound
+        return all(frac < IDLE_BUSY_BOUND
                    for frac in self.current_usage().values())
 
     def drain_background(self, force=False):

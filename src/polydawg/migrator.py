@@ -378,11 +378,9 @@ def normalize_for_engine(target_model, table):
     return table
 
 
-def migrate(catalog, alias, from_engine, to_engine, specs, table=None):
-    """Move a table (an engine object or a materialized alias) onto
-    ``to_engine`` as a temporary object; returns the temp object name."""
-    if table is None:
-        table = catalog.export(from_engine, alias)
+def migrate(catalog, alias, to_engine, specs, table):
+    """Cast the materialized value ``table`` of ``alias`` by ``specs`` and
+    load it onto ``to_engine`` as a temporary object; returns its name."""
     inverse = None
     for spec in specs:
         table, inverse = apply_cast(table, spec)

@@ -273,7 +273,7 @@ class _Decomposer:
                                             island.default_engine)
             return self.add_container(
                 engine_id=island.default_engine, query=query,
-                out_model=island.model, meta=self._expr_meta(expr, info),
+                out_model=island.model,
             )
         input_alias = self.frag_cast(info.cast)
         return self.add_node(
@@ -281,16 +281,6 @@ class _Decomposer:
             inputs=[input_alias], leaf_aliases={id(leaf): input_alias},
             out_model=island.model,
         )
-
-    def _expr_meta(self, expr, info):
-        """Dimension metadata carried forward for later model casts."""
-        if not isinstance(expr, ArrayOp):
-            return {}
-        if expr.op == "agg":
-            return {"dim_cols": list(expr.params["by"]), "dim_maps": None}
-        # subarray/filter keep the source object's dimensions
-        arr = self.catalog.engine(info.engine).array(info.name)
-        return {"dim_cols": [n for n, _ in arr.dims], "dim_maps": arr.dim_maps}
 
     def frag_select(self, scope, island, stmt):
         refs = stmt.table_refs()
@@ -440,13 +430,6 @@ def signature_of(remainder, resolved):
 
 # --- plan enumeration ------------------------------------------------------------
 
-def _input_model_for(kind, site_model):
-    """Model in which a cross-op wants its inputs materialized."""
-    if kind == "select":
-        return RELATIONAL
-    return site_model  # d4m/text ops read the site engine's native encoding
-
-
 def _site_candidates(node, registry):
     if node.kind == "cast":
         return [None]
@@ -484,8 +467,8 @@ def enumerate_plans(containers, remainder, registry, catalog, cap=16):
                 home[node.alias] = None
                 model[node.alias] = node.out_model
                 continue
-            site_model = catalog.engine(site).model
-            need = _input_model_for(node.kind, site_model)
+            # a cross-op reads its inputs in its site engine's model
+            need = catalog.engine(site).model
             bindings = {}
             for inp in node.inputs:
                 src = by_alias.get(inp)

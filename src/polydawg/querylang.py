@@ -139,40 +139,20 @@ class _Parser:
         return ScopeNode(island, expr, casts, span=(start, close.end))
 
     def _parse_raw(self):
-        # capture the original text up to the balancing close paren,
-        # honoring single- and double-quoted strings
-        open_tok = self.cur.peek()
-        start = open_tok.start
-        depth, i, n = 0, start, len(self.text)
-        while i < n:
-            ch = self.text[i]
-            if ch in "'\"":
-                q = ch
-                i += 1
-                while i < n:
-                    if self.text[i] == q:
-                        if i + 1 < n and self.text[i + 1] == q:
-                            i += 2
-                            continue
-                        break
-                    i += 1
-                if i >= n:
-                    raise QuerySyntaxError("unterminated string in raw body",
-                                           (start, n))
-            elif ch == "(":
+        # the body is the original text up to the balancing close paren;
+        # quoted parens are inside string tokens, so they do not count
+        start, depth = self.cur.peek().start, 0
+        while not (self.cur.at_op(")") and depth == 0):
+            tok = self.cur.next()
+            if tok.kind == "EOF":
+                raise QuerySyntaxError("unbalanced parentheses in raw body",
+                                       (start, tok.start))
+            if tok.kind == "OP" and tok.text == "(":
                 depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break
+            elif tok.kind == "OP" and tok.text == ")":
                 depth -= 1
-            i += 1
-        if i >= n:
-            raise QuerySyntaxError("unbalanced parentheses in raw body",
-                                   (start, n))
-        body = self.text[start:i]
-        while self.cur.peek().kind != "EOF" and self.cur.peek().start < i:
-            self.cur.next()
-        return RawExpr(body, span=(start, i))
+        end = self.cur.peek().start
+        return RawExpr(self.text[start:end], span=(start, end))
 
     def _parse_body(self, island, casts):
         if island == "relational":
@@ -478,14 +458,12 @@ def collect_constants(ast):
             elif expr.op == "filter":
                 sql.collect_literals(p["pred"], out)
         elif isinstance(expr, RawExpr):
-            try:
-                for tok in sql.tokenize(expr.body):
-                    if tok.kind in ("INT", "REAL"):
-                        out.append(tok.text)
-                    elif tok.kind in ("SQSTR", "DQSTR"):
-                        out.append(sql.quote_sq(sql.unquote(tok)))
-            except QuerySyntaxError:
-                pass
+            # the body was tokenized with the whole query, so this cannot fail
+            for tok in sql.tokenize(expr.body):
+                if tok.kind in ("INT", "REAL"):
+                    out.append(tok.text)
+                elif tok.kind in ("SQSTR", "DQSTR"):
+                    out.append(sql.quote_sq(sql.unquote(tok)))
         for cast in scope.casts:
             walk_scope(cast.inner)
 

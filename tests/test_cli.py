@@ -140,6 +140,28 @@ def test_syntax_errors_print_carets_and_exit_2(workspace, capsys):
     assert code == 2 and "nothere" in err
 
 
+def test_old_list_format_snapshot_exits_2_naming_it(workspace, capsys):
+    (workspace / "polydawg_data").mkdir()
+    (workspace / "polydawg_data" / "manifest.json").write_text(
+        '[{"engine": "rel", "object": "t", "file": "rel__t.cif", '
+        '"options": {}}]')
+    code, out, err = run(["query", "relational(SELECT a FROM t)"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "manifest.json" in err
+
+
+def test_manifest_entry_without_a_file_exits_2_and_loads_nothing(
+        workspace, capsys):
+    seed_dataset(workspace, capsys)
+    (workspace / "more.json").write_text('{"extra": {"engine": "rel"}}')
+    code, out, err = run(["load", "--manifest", "more.json"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: more.json") and "'extra'" in err
+    code, out, _ = run(["query", "relational(SELECT id FROM patients)"],
+                       capsys)
+    assert code == 0 and "p00001" in out
+
+
 def test_internal_consistency_exits_3(workspace, capsys, monkeypatch):
     seed_dataset(workspace, capsys)
 

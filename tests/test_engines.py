@@ -1,12 +1,13 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 
 import generators
 import oracle
-from polydawg import sql
-from polydawg.canonical import CanonicalTable
+from polydawg import datagen, sql
+from polydawg.canonical import CanonicalTable, save_cif
 from polydawg.engines import default_catalog
 from polydawg.errors import (
     CatalogError, NativeSyntaxError, SchemaError, TypeMismatchError,
@@ -385,6 +386,14 @@ def test_catalog_object_names_are_engine_unique(catalog):
     assert catalog.owner("nothere") is None
 
 
+def test_catalog_object_names_are_identifiers(catalog):
+    # a snapshot names each object's file after it
+    for name in ("../x", "a/b", "a b", "", "9a"):
+        with pytest.raises(CatalogError, match="not an identifier"):
+            catalog.load("rel", name, PATIENTS, {})
+    assert catalog.directory() == {}
+
+
 def test_catalog_temporaries_dropped(catalog):
     catalog.load("kv", "tmp1", NOTES, {}, temporary=True)
     assert catalog.owner("tmp1") == "kv"
@@ -408,3 +417,61 @@ def test_catalog_snapshot_restore_round_trip(catalog, tmp_path):
     # restored arrays keep their dimensions
     out = other.execute_native("arr", "SUBARRAY w p=1:1")
     assert out.rows == [(1, 0, 3.0), (1, 1, 4.0)]
+
+
+def test_directory_maps_each_name_to_its_engine_temporaries_included(catalog):
+    catalog.load("rel", "patients", PATIENTS, {"key": ["id"]})
+    catalog.load("kv", "__mig_c0_kv", NOTES, {}, temporary=True)
+    assert catalog.directory() == {"patients": "rel", "__mig_c0_kv": "kv"}
+    catalog.drop_temporaries()
+    assert catalog.directory() == {"patients": "rel"}
+    catalog.drop("patients")
+    assert catalog.directory() == {}
+    with pytest.raises(CatalogError):
+        catalog.drop("patients")
+
+
+def test_snapshot_of_the_standard_catalog_restores_every_object(tmp_path):
+    catalog, _ = generators.standard_catalog()
+    catalog.load("kv", "tmp", NOTES, {}, temporary=True)
+    catalog.snapshot(str(tmp_path))
+    other = default_catalog()
+    other.restore(str(tmp_path))
+    catalog.drop_temporaries()
+    assert other.directory() == catalog.directory()
+    for name, eid in catalog.directory().items():
+        assert other.export(eid, name) == catalog.export(eid, name)
+        assert (other.engine(eid).load_options_for(name)
+                == catalog.engine(eid).load_options_for(name))
+
+
+def test_snapshot_of_a_loaded_dataset_is_that_dataset(tmp_path):
+    datagen.write_dataset(1, str(tmp_path / "ds"), seed=3)
+    catalog = default_catalog()
+    loaded = catalog.load_manifest(str(tmp_path / "ds" / "manifest.json"))
+    assert [(name, eid) for name, eid, _ in loaded] == [
+        ("meds", "rel"), ("notes", "kv"), ("patients", "rel"),
+        ("waveform", "arr")]
+    catalog.snapshot(str(tmp_path / "snap"))
+    names = sorted(p.name for p in (tmp_path / "ds").iterdir())
+    assert sorted(p.name for p in (tmp_path / "snap").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "snap" / name).read_bytes() == \
+            (tmp_path / "ds" / name).read_bytes()
+
+
+@pytest.mark.parametrize("manifest", [
+    '[{"engine": "rel", "object": "t", "file": "rel__t.cif", "options": {}}]',
+    '{"t": {"file": "t.cif"}}',
+    '{"t": {"engine": "rel"}}',
+    '{"t": {"engine": "rel", "file": "t.cif", "options": []}}',
+    '{"t": ',
+])
+def test_a_bad_manifest_is_a_catalog_error_naming_it(catalog, tmp_path,
+                                                     manifest):
+    save_cif(PATIENTS, str(tmp_path / "t.cif"))
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest)
+    with pytest.raises(CatalogError, match=re.escape(str(path))):
+        catalog.restore(str(tmp_path))
+    assert catalog.directory() == {}

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import generators
+import oracle
 from polydawg import executor
 from polydawg.errors import InternalConsistencyError
 from polydawg.executor import (
@@ -41,6 +42,21 @@ def test_virtual_clock_and_delay_model():
     _, runtime_ms = system.execute_plan(pq, kv_plan)
     # one container + one migrate + one kv matmul (kind+site overrides site)
     assert runtime_ms == pytest.approx(10.0 + 20.0 + 40.0)
+
+
+def test_kv_select_over_a_kv_result_agrees_with_the_oracle():
+    # the select placed at kv reads the kv container's result unmigrated
+    text = "d4m(select(ewise(vitals, vitals, plus), rows='c000':'c005'))"
+    system = fresh_system()
+    _, want = oracle.Oracle(system.catalog).query(text)
+    pq = system.plan_query(text)
+    assert sorted(p.site for plan in pq.plans for p in plan.steps
+                  if isinstance(p, CrossOp)) == ["kv", "rel"]
+    for plan in pq.plans:
+        got, _ = system.execute_plan(pq, plan)
+        assert want and oracle.rows_bag_equal(got.rows, want), plan.id
+    assert system.catalog.directory() == \
+        generators.standard_catalog()[0].directory()
 
 
 def test_usage_tracker_merges_overlapping_intervals():

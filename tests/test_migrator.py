@@ -143,8 +143,10 @@ def test_migrate_creates_idempotent_temporaries():
     )
     catalog.load("rel", "t", table, {"key": ["r", "c"]})
     specs = chain_for(RELATIONAL, KEYVALUE)
-    name1 = migrate(catalog, "t", "rel", "kv", specs)
-    name2 = migrate(catalog, "t", "rel", "kv", specs)
+    name1 = migrate(catalog, "t", "kv", specs,
+                    table=catalog.export("rel", "t"))
+    name2 = migrate(catalog, "t", "kv", specs,
+                    table=catalog.export("rel", "t"))
     assert name1 == name2
     assert name1.startswith("__mig_")
     assert catalog.owner(name1) == "kv"
@@ -161,6 +163,7 @@ def test_migrate_empty_table_to_array_engine():
         [("row", "text"), ("col", "text"), ("val", "real")], []
     )
     catalog.load("kv", "e", empty, {})
-    name = migrate(catalog, "e", "kv", "arr", chain_for(KEYVALUE, ARRAY))
+    name = migrate(catalog, "e", "arr", chain_for(KEYVALUE, ARRAY),
+                   table=catalog.export("kv", "e"))
     assert catalog.owner(name) == "arr"
     assert catalog.export("arr", name).rows == []

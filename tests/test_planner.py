@@ -214,3 +214,18 @@ def test_codosing_plan_ids_and_migrations_are_pinned(env):
     }
     assert [p.id for p in plans] == [
         "1d7c63401ca9543d", "29b4e10363250949", "e244352cef6d3f5f"]
+
+
+KV_SELECT = "d4m(select(matmul(vitals, vitals), rows='a':'z'))"
+
+
+def test_cross_op_reads_its_inputs_in_its_site_engines_model(env):
+    # the kv matmul result feeds a d4m select placed at kv as it is; only
+    # the select placed at rel moves it into the relational model
+    _, _, plans = plan(env, KV_SELECT)
+    sites = by_site(plans)
+    assert migrations(sites["kv"]) == []
+    assert sites["kv"].estimated_moves == 0
+    assert [m.norm() for m in migrations(sites["rel"])] == [
+        "M[kv->rel:c0:keyvalue->relational]"]
+    assert [p.id for p in plans] == ["c56814afa3db9517", "cfb47b25906aa0ce"]

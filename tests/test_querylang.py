@@ -31,6 +31,9 @@ def test_round_trip_each_island():
     roundtrip("array(filter(w, v >= 2.5))")
     roundtrip("array(agg(sum(v), w, by(p)))")
     roundtrip("raw.kv(SCAN notes)")
+    # a quoted paren does not close the raw body
+    assert roundtrip('raw.kv(GREP notes ")" (a, (b)) )') == \
+        'raw.kv(GREP notes ")" (a, (b)) )'
 
 
 def test_round_trip_casts_in_every_position():
