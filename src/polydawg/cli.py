@@ -2,8 +2,13 @@
 
 Subcommands: load, query [--training], explain, datagen, monitor
 dump|stats [structure], repl. Catalog contents persist between
-invocations as a snapshot under the configured data directory; the
-monitor log persists on its own as an append-only file.
+invocations as a snapshot under the configured data directory. A call
+reads only the snapshot's manifest and parses an object's file the first
+time a query names it; ``load`` writes only the new object's file and
+the manifest, each through a temporary file renamed into place, so a
+process that dies mid-load leaves the previous snapshot whole (there is
+no fsync, so a power loss can still tear it). The monitor log persists
+on its own as an append-only file.
 
 Exit codes: 0 success; 2 query/input error; 3 internal-consistency error.
 """
@@ -16,7 +21,9 @@ from dataclasses import dataclass
 from . import datagen
 from .canonical import load_cif, write_cif
 from .engines import default_catalog
-from .errors import InternalConsistencyError, PolydawgError, QuerySyntaxError
+from .errors import (
+    InternalConsistencyError, PolydawgError, QuerySyntaxError, SchemaError,
+)
 from .executor import System, SystemConfig
 from .island import register_defaults
 from .monitor import (
@@ -117,7 +124,11 @@ def cmd_load(system, config, args):
         dims = []
         for part in args.dims.split(","):
             name, _, length = part.partition(":")
-            dims.append([name, int(length)])
+            try:
+                dims.append([name, int(length)])
+            except ValueError:
+                raise SchemaError(
+                    f"--dims entry {part!r} is not name:length") from None
         options["dims"] = dims
     table = load_cif(args.path)
     system.catalog.load(args.engine, args.object, table, options)

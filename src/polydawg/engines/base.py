@@ -6,8 +6,17 @@ included, to the one engine that holds it, which enforces the
 no-replication rule. A manifest is a JSON object that maps each name to
 its engine, its CIF file and its load options. Datagen output and
 catalog snapshots share that one format, written by ``write_manifest``
-and read by ``EngineCatalog.load_manifest``, so a CLI session can pick
-up where the last one stopped.
+and ``EngineCatalog.snapshot`` and read by ``EngineCatalog.load_manifest``
+and ``restore``, so a CLI session can pick up where the last one stopped.
+
+``restore`` reads only the manifest: each object stays pending on its
+engine as its CIF path and load options, and ``Engine._get`` parses and
+builds it the first time anything reads it. ``snapshot`` writes only the
+objects that have no file in the directory yet, then the manifest. Every
+file goes to ``<file>.tmp`` first and is renamed over the old one, the
+manifest last, so a process that dies mid-write leaves the previous
+snapshot whole. Nothing is fsynced, so this does not hold against a
+power loss.
 """
 
 import json
@@ -16,7 +25,7 @@ import re
 import threading
 
 from ..canonical import load_cif, save_cif
-from ..errors import CatalogError
+from ..errors import CatalogError, PolydawgError
 
 MANIFEST = "manifest.json"  # the file that names a directory's objects
 # what a query can name; an object's snapshot file is named after it
@@ -27,7 +36,8 @@ class Engine:
     """Uniform interface: load, export, execute-native, drop.
 
     Writes are serialized with a lock; reads are pure and lock-free on
-    immutable snapshots of the stored objects.
+    immutable snapshots of the stored objects. A pending object is built
+    under the lock on its first read.
     """
 
     model = None
@@ -35,32 +45,58 @@ class Engine:
     def __init__(self, engine_id):
         self.engine_id = engine_id
         self._objects = {}
+        self._pending = {}  # name -> (CIF path, load options), not yet built
         self._write_lock = threading.RLock()
 
     def object_names(self):
-        return sorted(self._objects)
+        return sorted(self._objects.keys() | self._pending.keys())
 
     def _get(self, name):
         try:
             return self._objects[name]
         except KeyError:
+            return self._build_pending(name)
+
+    def _build_pending(self, name):
+        with self._write_lock:
+            if name in self._objects:  # another thread built it first
+                return self._objects[name]
+            if name not in self._pending:
+                raise CatalogError(
+                    f"engine {self.engine_id!r} has no object {name!r}")
+            path, options = self._pending[name]
+            try:
+                obj = self._build(name, load_cif(path), options)
+            except (OSError, UnicodeError, PolydawgError) as e:
+                raise CatalogError(
+                    f"{path}: cannot restore {name!r}: {e}") from None
+            self._objects[name] = obj
+            del self._pending[name]
+            return obj
+
+    def _check_new(self, name):
+        if name in self._objects or name in self._pending:
             raise CatalogError(
-                f"engine {self.engine_id!r} has no object {name!r}"
-            ) from None
+                f"object {name!r} already exists on engine {self.engine_id!r}"
+            )
 
     def load(self, name, table, options=None):
         with self._write_lock:
-            if name in self._objects:
-                raise CatalogError(
-                    f"object {name!r} already exists on engine {self.engine_id!r}"
-                )
-            obj = self._build(name, table, options or {})
-            self._objects[name] = obj
+            self._check_new(name)
+            self._objects[name] = self._build(name, table, options or {})
+
+    def load_pending(self, name, path, options):
+        """Hold the object stored in the CIF file at ``path``; it is
+        parsed and built on first use."""
+        with self._write_lock:
+            self._check_new(name)
+            self._pending[name] = (path, options)
 
     def drop(self, name):
         with self._write_lock:
-            self._get(name)
-            del self._objects[name]
+            if self._pending.pop(name, None) is None:
+                self._get(name)
+                del self._objects[name]
 
     # subclasses implement
     def _build(self, name, table, options):
@@ -92,6 +128,9 @@ class EngineCatalog:
             self.engines[eng.engine_id] = eng
         self._owners = {}  # object name -> engine id
         self._temps = set()
+        # directory -> {name: manifest entry} of the objects whose current
+        # version has a file there
+        self._saved = {}
 
     def engine(self, engine_id):
         try:
@@ -103,7 +142,8 @@ class EngineCatalog:
         """Engine id holding the object, or None."""
         return self._owners.get(name)
 
-    def load(self, engine_id, name, table, options=None, temporary=False):
+    def _claim(self, engine_id, name):
+        """The engine a new object ``name`` may go to."""
         eng = self.engine(engine_id)
         if not _OBJECT_NAME.fullmatch(name):
             raise CatalogError(f"object name {name!r} is not an identifier")
@@ -112,7 +152,10 @@ class EngineCatalog:
             raise CatalogError(
                 f"object {name!r} already exists on engine {holder!r}"
             )
-        eng.load(name, table, options)
+        return eng
+
+    def load(self, engine_id, name, table, options=None, temporary=False):
+        self._claim(engine_id, name).load(name, table, options)
         self._owners[name] = engine_id
         if temporary:
             self._temps.add(name)
@@ -130,6 +173,8 @@ class EngineCatalog:
         self.engines[eid].drop(name)
         del self._owners[name]
         self._temps.discard(name)
+        for saved in self._saved.values():
+            saved.pop(name, None)
 
     def drop_temporaries(self):
         for name in list(self._temps):
@@ -142,23 +187,49 @@ class EngineCatalog:
     # --- manifests -------------------------------------------------------
 
     def snapshot(self, directory):
-        """Write every non-temporary object to ``directory`` as a manifest."""
-        write_manifest(directory, (
-            (name, eid, self.export(eid, name),
-             self.engines[eid].load_options_for(name))
-            for name, eid in sorted(self._owners.items())
-            if name not in self._temps))
+        """Make ``directory`` a manifest of every non-temporary object,
+        writing only the objects that have no file there yet."""
+        os.makedirs(directory, exist_ok=True)
+        key = os.path.abspath(directory)
+        saved = self._saved.get(key, {})
+        entries = {}
+        for name, eid in sorted(self._owners.items()):
+            if name not in self._temps:
+                entries[name] = saved.get(name) or _write_object(
+                    directory, name, eid, self.export(eid, name),
+                    self.engines[eid].load_options_for(name))
+        _write_entries(directory, entries)
+        self._saved[key] = entries
 
     def restore(self, directory):
-        """Load the snapshot in ``directory``, if there is one."""
+        """Name every object of the snapshot in ``directory``, if there is
+        one; each is parsed on first use."""
         path = os.path.join(directory, MANIFEST)
-        if os.path.exists(path):
-            self.load_manifest(path)
+        if not os.path.exists(path):
+            return
+        entries = self._read_manifest(path)
+        for name, entry in sorted(entries.items()):
+            self._claim(entry["engine"], name).load_pending(
+                name, os.path.join(directory, entry["file"]),
+                entry["options"])
+            self._owners[name] = entry["engine"]
+        self._saved[os.path.abspath(directory)] = entries
 
     def load_manifest(self, path):
         """Load every object the manifest at ``path`` names; returns
         ``[(name, engine id, rows)]`` in name order. Every entry is
         checked before the first object loads."""
+        base = os.path.dirname(path)
+        loaded = []
+        for name, entry in sorted(self._read_manifest(path).items()):
+            table = load_cif(os.path.join(base, entry["file"]))
+            self.load(entry["engine"], name, table, entry["options"])
+            loaded.append((name, entry["engine"], len(table.rows)))
+        return loaded
+
+    def _read_manifest(self, path):
+        """``{name: {"engine", "file", "options"}}`` from the manifest at
+        ``path``, each entry checked as an object this catalog can add."""
         try:
             with open(path, encoding="ascii") as fh:
                 manifest = json.load(fh)
@@ -175,14 +246,62 @@ class EngineCatalog:
                 raise CatalogError(
                     f"{path}: entry {name!r} needs 'engine' and 'file' "
                     f"strings and optional 'options'")
-        base = os.path.dirname(path)
-        loaded = []
-        for name in sorted(manifest):
-            entry = manifest[name]
-            table = load_cif(os.path.join(base, entry["file"]))
-            self.load(entry["engine"], name, table, entry.get("options"))
-            loaded.append((name, entry["engine"], len(table.rows)))
-        return loaded
+            entry.setdefault("options", {})
+            try:
+                self._claim(entry["engine"], name)
+                _check_load_options(entry["options"])
+            except CatalogError as e:
+                raise CatalogError(f"{path}: entry {name!r}: {e}") from None
+        return manifest
+
+
+def _check_load_options(options):
+    """Raise ``CatalogError`` unless, where present, ``key`` is a list of
+    column names, ``dims`` a list of ``[name, positive length]`` pairs and
+    ``dim_maps`` a list of string-key lists or nulls."""
+    key = options.get("key")
+    if key is not None and not (
+            isinstance(key, list) and all(isinstance(k, str) for k in key)):
+        raise CatalogError("'key' must be a list of column names")
+    dims = options.get("dims")
+    if dims is not None and not (isinstance(dims, list) and all(
+            isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
+            and type(d[1]) is int and d[1] > 0 for d in dims)):
+        raise CatalogError(
+            "'dims' must be a list of [name, positive length] pairs")
+    maps = options.get("dim_maps")
+    if maps is not None and not (isinstance(maps, list) and all(
+            m is None or (isinstance(m, list)
+                          and all(isinstance(k, str) for k in m))
+            for m in maps)):
+        raise CatalogError("'dim_maps' must be a list of key lists or nulls")
+
+
+def _replace(path, write):
+    """Write ``path`` as ``write(tmp)`` then rename ``tmp`` over it, so a
+    crash leaves the old file or the new one, never a torn one."""
+    tmp = path + ".tmp"
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _write_object(directory, name, engine_id, table, options):
+    """Write ``<name>.cif``; returns its manifest entry."""
+    fname = f"{name}.cif"
+    _replace(os.path.join(directory, fname), lambda p: save_cif(table, p))
+    return {"engine": engine_id, "file": fname, "options": options}
+
+
+def _write_entries(directory, entries):
+    """Write the manifest of ``entries``; returns its path."""
+    def dump(path):
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(entries, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    path = os.path.join(directory, MANIFEST)
+    _replace(path, dump)
+    return path
 
 
 def write_manifest(directory, objects):
@@ -190,18 +309,10 @@ def write_manifest(directory, objects):
     given, as ``<name>.cif`` and the manifest naming them all; returns the
     paths written, the manifest last."""
     os.makedirs(directory, exist_ok=True)
-    files, manifest = [], {}
-    for name, engine_id, table, options in objects:
-        fname = f"{name}.cif"
-        files.append(os.path.join(directory, fname))
-        save_cif(table, files[-1])
-        manifest[name] = {"engine": engine_id, "file": fname,
-                          "options": options}
-    files.append(os.path.join(directory, MANIFEST))
-    with open(files[-1], "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return files
+    entries = {name: _write_object(directory, name, eid, table, options)
+               for name, eid, table, options in objects}
+    return ([os.path.join(directory, e["file"]) for e in entries.values()]
+            + [_write_entries(directory, entries)])
 
 
 def default_catalog():

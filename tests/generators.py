@@ -1,5 +1,6 @@
 """Seeded random builders shared by the property and acceptance tests."""
 
+import itertools
 import random
 
 from polydawg.canonical import CanonicalTable
@@ -167,32 +168,35 @@ def _q_relational_join_cast(rng):
             "ON p.id = n.r ORDER BY id LIMIT 15)")
 
 
-def _d4m_operand(rng, depth=0):
+def _d4m_operand(rng, aliases, depth=0):
     if depth < 1 and rng.random() < 0.3:
-        return _d4m_expr(rng, depth + 1)
+        return _d4m_expr(rng, aliases, depth + 1)
     name = rng.choice(ASSOC_OBJECTS)
     if rng.random() < 0.3:
         return ("cast(relational(SELECT r, c, v FROM dose_rc), d4m, "
-                f"x{rng.randrange(100)}, key=r)")
+                f"x{next(aliases)}, key=r)")
     return name
 
 
-def _d4m_expr(rng, depth=0):
+def _d4m_expr(rng, aliases, depth=0):
+    """A d4m expression; ``aliases`` counts its casts, so that each cast
+    of one query has an alias of its own."""
     op = rng.choice(["matmul", "ewise", "transpose", "select"])
     if op == "matmul":
-        return f"matmul({_d4m_operand(rng, depth)}, {_d4m_operand(rng, depth)})"
+        return (f"matmul({_d4m_operand(rng, aliases, depth)}, "
+                f"{_d4m_operand(rng, aliases, depth)})")
     if op == "ewise":
         ew = rng.choice(["plus", "min", "max"])
-        return (f"ewise({_d4m_operand(rng, depth)}, "
-                f"{_d4m_operand(rng, depth)}, {ew})")
+        return (f"ewise({_d4m_operand(rng, aliases, depth)}, "
+                f"{_d4m_operand(rng, aliases, depth)}, {ew})")
     if op == "transpose":
-        return f"transpose({_d4m_operand(rng, depth)})"
+        return f"transpose({_d4m_operand(rng, aliases, depth)})"
     lo, hi = sorted([random_word(rng, 2), random_word(rng, 2)])
-    return f"select({_d4m_operand(rng, depth)}, rows='{lo}':'{hi}~')"
+    return f"select({_d4m_operand(rng, aliases, depth)}, rows='{lo}':'{hi}~')"
 
 
 def _q_d4m(rng):
-    return f"d4m({_d4m_expr(rng)})"
+    return f"d4m({_d4m_expr(rng, itertools.count())})"
 
 
 def _q_text(rng):
@@ -218,6 +222,6 @@ def _q_array(rng):
 
 
 def _q_cast_into_relational(rng):
-    inner = _d4m_expr(rng)
+    inner = _d4m_expr(rng, itertools.count())
     return (f"relational(SELECT r, v FROM cast(d4m({inner}), relational) t "
             "ORDER BY r LIMIT 25)")

@@ -1,8 +1,9 @@
 import io
+import os
 
 import pytest
 
-from polydawg import cli
+from polydawg import canonical, cli
 from polydawg.canonical import CanonicalTable, save_cif
 from polydawg.errors import InternalConsistencyError
 
@@ -210,3 +211,95 @@ def test_repl_runs_lines_and_directives(workspace, capsys, monkeypatch):
     assert "phase = production" in out
     assert "containers:" in out
     assert "phase = training" in out
+
+
+def test_malformed_load_options_exit_2_naming_the_entry(workspace, capsys):
+    table = CanonicalTable([("p", "int"), ("v", "real")], [(0, 1.0)])
+    save_cif(table, str(workspace / "w.cif"))
+    for dims in ("p", "p:x"):
+        code, out, err = run(["load", "arr", "w", "w.cif", "--dims", dims],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and repr(dims) in err
+    (workspace / "m.json").write_text(
+        '{"w": {"engine": "arr", "file": "w.cif", '
+        '"options": {"dims": [["p"]]}}}')
+    code, out, err = run(["load", "--manifest", "m.json"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: m.json: entry 'w'") and "dims" in err
+    assert not (workspace / "polydawg_data" / "manifest.json").exists()
+
+
+def _data_files(workspace):
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in (workspace / "polydawg_data").iterdir()}
+
+
+def test_load_writes_only_its_object_and_the_manifest(workspace, capsys):
+    seed_dataset(workspace, capsys)
+    before = _data_files(workspace)
+    table = CanonicalTable([("k", "text"), ("v", "real")], [("a", 1.0)])
+    save_cif(table, str(workspace / "x.cif"))
+    code, _, err = run(["load", "rel", "extra", "x.cif", "--key", "k"],
+                       capsys)
+    assert code == 0, err
+    after = _data_files(workspace)
+    assert {name for name in after if before.get(name) != after[name]} == {
+        "extra.cif", "manifest.json"}
+
+
+def test_a_query_parses_only_the_objects_it_names(workspace, capsys,
+                                                  monkeypatch):
+    seed_dataset(workspace, capsys)
+    parsed = []
+    parse = canonical.parse_cif
+    monkeypatch.setattr(canonical, "parse_cif",
+                        lambda text: parsed.append(text) or parse(text))
+    code, out, _ = run(["query", "relational(SELECT id FROM patients)"],
+                       capsys)
+    assert code == 0 and "p00001" in out
+    data = workspace / "polydawg_data"
+    assert parsed == [(data / "patients.cif").read_text()]
+
+
+def test_a_truncated_object_file_fails_only_the_queries_naming_it(
+        workspace, capsys):
+    seed_dataset(workspace, capsys)
+    wave = workspace / "polydawg_data" / "waveform.cif"
+    text = wave.read_text()
+    wave.write_text(text[:text.rindex(",", 0, len(text) // 2)])
+    code, out, err = run(["query", "array(filter(waveform, v > 90))"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: polydawg_data/waveform.cif: ")
+    code, out, _ = run(["monitor", "dump"], capsys)
+    assert code == 0 and out == ""  # it failed before any plan ran
+    code, out, _ = run(["query", "relational(SELECT id FROM patients)"],
+                       capsys)
+    assert code == 0 and "p00001" in out
+
+
+def test_a_load_that_dies_before_the_manifest_keeps_the_old_snapshot(
+        workspace, capsys, monkeypatch):
+    seed_dataset(workspace, capsys)
+    save_cif(CanonicalTable([("k", "text")], [("a",)]),
+             str(workspace / "x.cif"))
+    replace = os.replace
+
+    def crash_on_manifest(src, dst):
+        if os.path.basename(dst) == "manifest.json":
+            raise OSError("simulated crash")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_manifest)
+    code, _, err = run(["load", "rel", "x", "x.cif"], capsys)
+    assert code == 2 and "simulated crash" in err
+    monkeypatch.setattr(os, "replace", replace)
+    for text in ("relational(SELECT id FROM patients)",
+                 "relational(SELECT drug FROM meds)",
+                 "text(grep(notes, 'fever'))",
+                 "array(subarray(waveform, patient=0:1, t=0:1))"):
+        code, out, err = run(["query", text], capsys)
+        assert code == 0, err
+    code, _, err = run(["query", "relational(SELECT k FROM x)"], capsys)
+    assert code == 2 and "unknown object 'x'" in err

@@ -1,5 +1,8 @@
 import random
 import re
+import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -7,8 +10,8 @@ import pytest
 import generators
 import oracle
 from polydawg import datagen, sql
-from polydawg.canonical import CanonicalTable, save_cif
-from polydawg.engines import default_catalog
+from polydawg.canonical import CanonicalTable, load_cif, save_cif
+from polydawg.engines import base, default_catalog
 from polydawg.errors import (
     CatalogError, NativeSyntaxError, SchemaError, TypeMismatchError,
 )
@@ -475,3 +478,135 @@ def test_a_bad_manifest_is_a_catalog_error_naming_it(catalog, tmp_path,
     with pytest.raises(CatalogError, match=re.escape(str(path))):
         catalog.restore(str(tmp_path))
     assert catalog.directory() == {}
+
+
+def test_a_bad_manifest_entry_option_is_a_catalog_error_naming_it(
+        catalog, tmp_path):
+    save_cif(WAVE, str(tmp_path / "w.cif"))
+    path = tmp_path / "manifest.json"
+    for options in ('{"dims": [["p"]]}', '{"dims": [["p", 0]]}',
+                    '{"dims": "p"}', '{"key": "id"}', '{"key": [1]}',
+                    '{"dims": [["p", 2], ["t", 2]], "dim_maps": [3, null]}'):
+        path.write_text(f'{{"w": {{"engine": "arr", "file": "w.cif", '
+                        f'"options": {options}}}}}')
+        with pytest.raises(CatalogError, match=re.escape(f"{path}: entry 'w'")):
+            catalog.restore(str(tmp_path))
+        with pytest.raises(CatalogError, match=re.escape(f"{path}: entry 'w'")):
+            catalog.load_manifest(str(path))
+        assert catalog.directory() == {}
+
+
+# --- lazy restore and atomic snapshots -----------------------------------------
+
+def _snapshot_dir(tmp_path):
+    catalog = default_catalog()
+    catalog.load("rel", "patients", PATIENTS, {"key": ["id"]})
+    catalog.load("kv", "notes", NOTES, {})
+    catalog.load("arr", "w", WAVE, {"dims": [("p", 2), ("t", 2)]})
+    catalog.snapshot(str(tmp_path))
+
+
+def test_restore_parses_an_object_only_when_it_is_first_read(
+        tmp_path, monkeypatch):
+    _snapshot_dir(tmp_path)
+    parsed = []
+    monkeypatch.setattr(base, "load_cif",
+                        lambda path: parsed.append(path) or load_cif(path))
+    other = default_catalog()
+    other.restore(str(tmp_path))
+    assert other.directory() == {"patients": "rel", "notes": "kv", "w": "arr"}
+    assert parsed == []
+    assert other.engine("rel").schema_of("patients") == PATIENTS.schema
+    assert other.export("rel", "patients") == PATIENTS
+    assert parsed == [str(tmp_path / "patients.cif")]
+    other.drop("notes")  # dropping a pending object does not parse it
+    assert parsed == [str(tmp_path / "patients.cif")]
+    assert other.engine("kv").object_names() == []
+
+
+def test_threads_reading_one_pending_object_parse_it_once(
+        tmp_path, monkeypatch):
+    _snapshot_dir(tmp_path)
+    other = default_catalog()
+    other.restore(str(tmp_path))
+    parsed, start = [], threading.Barrier(8, timeout=10)
+
+    def slow_load(path):
+        parsed.append(path)
+        time.sleep(0.05)  # every other thread reaches the object meanwhile
+        return load_cif(path)
+
+    monkeypatch.setattr(base, "load_cif", slow_load)
+    schemas = [None] * 8
+
+    def read(i):
+        start.wait()
+        schemas[i] = other.engine("arr").schema_of("w")
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert parsed == [str(tmp_path / "w.cif")]
+    assert schemas == [WAVE.schema] * 8
+
+
+def test_a_bad_object_file_fails_on_first_read_naming_it(tmp_path):
+    _snapshot_dir(tmp_path)
+    (tmp_path / "w.cif").write_text("#schema:p:int,t:int,v:real\n0,0\n")
+    (tmp_path / "notes.cif").unlink()
+    other = default_catalog()
+    other.restore(str(tmp_path))
+    for eid, name in (("arr", "w"), ("kv", "notes")):
+        path = str(tmp_path / f"{name}.cif")
+        with pytest.raises(CatalogError, match=re.escape(path)):
+            other.engine(eid).schema_of(name)
+    assert other.export("rel", "patients") == PATIENTS
+
+
+def test_snapshot_writes_only_objects_without_a_file_there(tmp_path):
+    _snapshot_dir(tmp_path)
+    other = default_catalog()
+    other.restore(str(tmp_path))
+    before = {p.name: p.stat() for p in tmp_path.iterdir()}
+    other.load("rel", "extra", PATIENTS, {"key": ["id"]})
+    other.snapshot(str(tmp_path))
+    after = {p.name: p.stat() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted([*before, "extra.cif"])
+    changed = {name for name in after if name not in before
+               or (after[name].st_ino, after[name].st_mtime_ns)
+               != (before[name].st_ino, before[name].st_mtime_ns)}
+    assert changed == {"extra.cif", "manifest.json"}
+    assert other.engine("rel").object_names() == ["extra", "patients"]
+    assert other.engine("arr")._pending  # nothing else was parsed
+
+    # a dropped and reloaded name gets its new file
+    other.drop("w")
+    other.load("arr", "w", WAVE, {"dims": [("p", 2), ("t", 3)]})
+    other.snapshot(str(tmp_path))
+    again = default_catalog()
+    again.restore(str(tmp_path))
+    assert again.engine("arr").array("w").dims == [("p", 2), ("t", 3)]
+    assert again.export("rel", "extra") == PATIENTS
+
+
+def test_stray_temporary_files_are_ignored(tmp_path):
+    _snapshot_dir(tmp_path)
+    (tmp_path / "x.cif.tmp").write_text("#schema:a:int\n1\n")
+    (tmp_path / "manifest.json.tmp").write_text('{"torn": ')
+    other = default_catalog()
+    other.restore(str(tmp_path))
+    assert other.directory() == {"patients": "rel", "notes": "kv", "w": "arr"}
+    other.load("rel", "x", PATIENTS, {})
+    other.snapshot(str(tmp_path))
+    again = default_catalog()
+    again.restore(str(tmp_path))
+    assert again.export("rel", "x") == PATIENTS
+    assert not (tmp_path / "manifest.json.tmp").exists()

@@ -226,3 +226,13 @@ def test_random_query_corpus_parses_and_validates(env):
         text = generators.random_query(rng)
         roundtrip(text)
         check(env, text)
+
+
+def test_each_cast_of_a_random_query_has_its_own_alias(env):
+    # seed 5 once drew one alias for two casts of the same query
+    rng = random.Random(5)
+    for _ in range(400):
+        text = generators.random_query(rng)
+        aliases = re.findall(r", d4m, (\w+), key=", text)
+        assert len(aliases) == len(set(aliases)), text
+        check(env, text)
