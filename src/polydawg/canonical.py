@@ -1,5 +1,15 @@
 """CanonicalTable: the tabular interchange value, plus the CIF file format.
 
+Values are checked where data comes into the system and nowhere else:
+``CanonicalTable(schema, rows)`` runs ``check_value`` on every value, and
+CIF parsing, the tables a user builds for ``catalog.load`` and
+``datagen`` all construct tables that way. Engines, casts and the
+migrator build their outputs from values already checked, so they use
+``CanonicalTable.trusted``, which checks nothing: every row is a tuple
+as long as the schema and every non-null value already has its column's
+exact Python type (``int``, ``float`` or ``str``), as ``check_value``
+would return it.
+
 CIF is line oriented. The first line is
 ``#schema:<name>:<tag>[,<name>:<tag>...]`` with tag in {int,real,text};
 every following line is one comma-separated row. Text values are
@@ -23,6 +33,15 @@ class CanonicalTable:
             if tag not in TAGS:
                 raise SchemaError(f"unknown tag {tag!r} for column {name!r}")
         self.rows = [self._conform(r) for r in self.rows]
+
+    @classmethod
+    def trusted(cls, schema, rows):
+        """A table of rows the system built from checked values; nothing
+        is checked (see the module docstring for what the caller owes)."""
+        table = cls.__new__(cls)
+        table.schema = schema
+        table.rows = rows
+        return table
 
     def _conform(self, row):
         if len(row) != len(self.schema):
@@ -48,27 +67,39 @@ class CanonicalTable:
         raise SchemaError(f"no column named {name!r}")
 
     def sorted_rows(self):
-        return sorted(self.rows, key=row_sort_key)
+        """Rows in ``row_sort_key`` order. Rows whose columns each hold
+        one tag compare natively in that order until a null meets a
+        value, which raises TypeError: only then is the key needed."""
+        try:
+            return sorted(self.rows)
+        except TypeError:
+            return sorted(self.rows, key=row_sort_key)
 
     def __len__(self):
         return len(self.rows)
 
 
-def bag_equal(a, b, rel_tol=0.0):
+def bag_equal(a, b, rel_tol=0.0, a_sorted=None):
     """Bag equality of two tables: tags and rows, ignoring column names.
 
     With rel_tol > 0, real values match within the given relative
-    tolerance (rows are aligned by sorted order).
+    tolerance (rows are aligned by sorted order). ``a_sorted`` is
+    ``a.sorted_rows()`` when the caller already has it, so a reference
+    compared with many tables is sorted once.
     """
-    if a.tags != b.tags:
+    tags = a.tags
+    if tags != b.tags:
         return False
     if len(a.rows) != len(b.rows):
         return False
-    ra, rb = a.sorted_rows(), b.sorted_rows()
+    ra = a.sorted_rows() if a_sorted is None else a_sorted
+    rb = b.sorted_rows()
+    if ra == rb:
+        return True
     if rel_tol == 0.0:
-        return ra == rb
+        return False
     for xa, xb in zip(ra, rb):
-        for tag, va, vb in zip(a.tags, xa, xb):
+        for tag, va, vb in zip(tags, xa, xb):
             if va is None or vb is None:
                 if va is not vb:
                     return False

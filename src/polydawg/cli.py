@@ -8,7 +8,9 @@ time a query names it; ``load`` writes only the new object's file and
 the manifest, each through a temporary file renamed into place, so a
 process that dies mid-load leaves the previous snapshot whole (there is
 no fsync, so a power loss can still tear it). The monitor log persists
-on its own as an append-only file.
+on its own as an append-only file. A directory is created by the first
+write to it, a snapshot or a monitor record, so a command that writes
+nothing leaves none behind.
 
 Exit codes: 0 success; 2 query/input error; 3 internal-consistency error.
 """
@@ -100,7 +102,6 @@ def build_system(config):
         catalog.restore(config.data_dir)
     registry = register_defaults(catalog)
     weights = (config.w_structure, config.w_objects, config.w_constants)
-    os.makedirs(os.path.dirname(config.monitor_log) or ".", exist_ok=True)
     db = MonitorDB(config.monitor_log, weights=weights)
     if db.torn_tail:
         print(f"warning: dropped an incomplete final record "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .. import sql
 from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
-from ..values import INT, REAL, TEXT, is_numeric_tag
+from ..values import INT, REAL, TEXT, finite, is_numeric_tag
 from .base import Engine
 from .keyvalue import run_assoc_op
 from .relational import compile_predicate
@@ -84,14 +84,16 @@ def array_op(op, params, name, schema, ndims):
         raise TypeMismatchError(f"{fn.upper()} over text attribute")
     bidx = [dim(d) for d in params["by"]]
 
+    out_tag = {"count": INT, "avg": REAL}.get(fn, atag)
+    value = finite if out_tag == REAL else (lambda v: v)
+
     def run(rows):
         groups = {}
         for row in rows:
             groups.setdefault(tuple(row[i] for i in bidx), []).append(row[ai])
-        return [gkey + (_aggregate(fn, groups[gkey]),)
+        return [gkey + (value(_aggregate(fn, groups[gkey])),)
                 for gkey in sorted(groups)]
 
-    out_tag = {"count": INT, "avg": REAL}.get(fn, atag)
     return [(d, INT) for d in params["by"]] + [(fn, out_tag)], run
 
 
@@ -159,7 +161,7 @@ class ArrayEngine(Engine):
 
     def export(self, name):
         arr = self._get(name)
-        return CanonicalTable(arr.export_schema(), _rows(arr))
+        return CanonicalTable.trusted(arr.export_schema(), _rows(arr))
 
     def execute_native(self, query):
         try:
@@ -230,7 +232,7 @@ class ArrayEngine(Engine):
         arr = self._get(name)
         schema, run = array_op(op, params, name, arr.export_schema(),
                                len(arr.dims))
-        return CanonicalTable(schema, run(_rows(arr)))
+        return CanonicalTable.trusted(schema, run(_rows(arr)))
 
     # --- associative-array ops over key-mapped 2-D arrays ------------------
 
@@ -245,6 +247,9 @@ class ArrayEngine(Engine):
         maps = arr.dim_maps or [None, None]
         out = {}
         for (i, j), (v,) in arr.cells.items():
+            if v is None:  # the one non-numeric value a cell may hold
+                raise TypeMismatchError(
+                    f"{opname} over a null cell of {name!r}")
             rkey = maps[0][i] if maps[0] is not None else str(i)
             ckey = maps[1][j] if maps[1] is not None else str(j)
             out[(rkey, ckey)] = v

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .. import sql
 from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
-from ..values import REAL, TEXT, is_numeric_tag, tag_of
+from ..values import REAL, TEXT, finite, is_numeric_tag
 from .base import Engine
 
 SEMIRINGS = {
@@ -33,24 +33,22 @@ def triple_schema(val_tag):
 
 def entries_to_table(entries, val_tag):
     rows = [(r, c, v) for (r, c), v in sorted(entries.items())]
-    return CanonicalTable(triple_schema(val_tag), rows)
+    return CanonicalTable.trusted(triple_schema(val_tag), rows)
 
 
 def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
-    """C(r,c) = oplus_k A(r,k) otimes B(k,c) over keys present in both."""
+    """C(r,c) = oplus_k A(r,k) otimes B(k,c) over keys present in both.
+    Every value is numeric: ``run_assoc_op`` takes only operands whose
+    value tag is."""
     try:
         oplus, otimes = SEMIRINGS[semiring]
     except KeyError:
         raise SchemaError(f"unknown semiring {semiring!r}") from None
     a_rows = {}
     for (r, k), v in a_entries.items():
-        if tag_of(v) == TEXT or v is None:
-            raise TypeMismatchError("non-numeric value in matmul operand")
         a_rows.setdefault(r, {})[k] = v
     b_rows = {}
     for (k, c), v in b_entries.items():
-        if tag_of(v) == TEXT or v is None:
-            raise TypeMismatchError("non-numeric value in matmul operand")
         b_rows.setdefault(k, {})[c] = v
     out = {}
     for r, arow in a_rows.items():
@@ -73,13 +71,7 @@ def assoc_ewise(a_entries, b_entries, op="plus"):
         raise SchemaError(f"unknown elementwise op {op!r}") from None
     out = dict(a_entries)
     for key, bv in b_entries.items():
-        if key in out:
-            av = out[key]
-            if tag_of(av) == TEXT or tag_of(bv) == TEXT:
-                raise TypeMismatchError("non-numeric value on overlapping key")
-            out[key] = fn(av, bv)
-        else:
-            out[key] = bv
+        out[key] = fn(out[key], bv) if key in out else bv
     return out
 
 
@@ -112,7 +104,13 @@ def run_assoc_op(verb, cur, operand):
     opname = verb.upper()
     (ae, atag), (be, btag) = operand(a, opname), operand(b, opname)
     run = assoc_matmul if verb == "matmul" else assoc_ewise
-    return entries_to_table(run(ae, be, how), _result_tag(atag, btag))
+    entries, tag = run(ae, be, how), _result_tag(atag, btag)
+    if tag != atag or tag != btag:  # int meets real: every value is real
+        entries = {k: float(v) for k, v in entries.items()}
+    if tag == REAL:
+        for v in entries.values():
+            finite(v)
+    return entries_to_table(entries, tag)
 
 
 class KeyValueEngine(Engine):

@@ -16,7 +16,7 @@ from ..errors import (
     CatalogError, NativeSyntaxError, QuerySyntaxError, SchemaError,
     TypeMismatchError,
 )
-from ..values import INT, REAL, TEXT, compare, row_sort_key
+from ..values import INT, REAL, TEXT, compare, finite, row_sort_key
 from .base import Engine
 
 
@@ -54,7 +54,7 @@ class RelationalEngine(Engine):
 
     def export(self, name):
         rel = self._get(name)
-        return CanonicalTable(list(rel.schema), list(rel.rows))
+        return CanonicalTable.trusted(list(rel.schema), list(rel.rows))
 
     def schema_of(self, name):
         return list(self._get(name).schema)
@@ -258,10 +258,14 @@ _AGG_FNS = {"count": len, "sum": sum, "min": min, "max": max,
 
 
 def _aggregate(agg, scope):
-    """``(group key, group rows) -> value`` for one aggregate item."""
+    """``(group key, group rows) -> value`` for one aggregate item. A real
+    result is checked to be finite, as a sum or its operands' arithmetic
+    may have overflowed."""
     if agg.fn == "count" and agg.arg is None:
         return lambda key, rows: len(rows)
     arg, fn, count = _scalar(agg.arg, scope), _AGG_FNS[agg.fn], agg.fn == "count"
+    if _infer_tag(agg, scope) == REAL:
+        fn = lambda vals, fn=fn: finite(fn(vals))  # noqa: E731
 
     def aggregate(key, rows):
         vals = [v for v in map(arg, rows) if v is not None]
@@ -269,15 +273,26 @@ def _aggregate(agg, scope):
     return aggregate
 
 
+def _computed(fn, expr, tag):
+    """``row -> value`` of the output column ``expr`` of ``tag``; a real
+    that arithmetic computed is checked to be finite, as it may have
+    overflowed."""
+    if tag != REAL or isinstance(expr, sql.Col):
+        return fn
+    return lambda row: finite(fn(row))
+
+
 def _projection(stmt, scope):
     """Output schema and ``rows -> output rows``, grouping included."""
     items = stmt.items
     if not stmt.group_by and not any(_has_agg(it.expr) for it in items or []):
         if items is None:
-            return [(n, t) for _, n, t in scope.columns], lambda rows: rows
+            # a copy, so a result never shares a stored relation's list
+            return [(n, t) for _, n, t in scope.columns], list
         schema = [(it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope))
                   for it in items]
-        fns = [_scalar(it.expr, scope) for it in items]
+        fns = [_computed(_scalar(it.expr, scope), it.expr, tag)
+               for it, (_, tag) in zip(items, schema)]
         return schema, lambda rows: [tuple([f(r) for f in fns]) for r in rows]
     if items is None:
         raise SchemaError("SELECT * cannot be combined with grouping")
@@ -349,7 +364,7 @@ class CompiledSelect:
         rows = self.project(rows)
         if self.order is not None:
             rows = self.order(rows)
-        return CanonicalTable(self.schema, rows)
+        return CanonicalTable.trusted(self.schema, rows)
 
 
 def compile_select(stmt, table_schemas):

@@ -287,17 +287,21 @@ class System:
         pq = self.plan_query(text)
         usage_at_start = self.current_usage()
         runs = []
-        reference = None
+        reference = reference_rows = None
         best = None
         for plan in pq.plans:
             result, runtime_ms = self.execute_plan(pq, plan)
             if reference is None:
                 reference = result
-            elif not bag_equal(reference, result, rel_tol=1e-9):
-                raise InternalConsistencyError(
-                    f"plan {plan.id} disagrees with plan {pq.plans[0].id} "
-                    f"for: {text}"
-                )
+            else:
+                if reference_rows is None:  # sorted once, for every plan
+                    reference_rows = reference.sorted_rows()
+                if not bag_equal(reference, result, rel_tol=1e-9,
+                                 a_sorted=reference_rows):
+                    raise InternalConsistencyError(
+                        f"plan {plan.id} disagrees with plan "
+                        f"{pq.plans[0].id} for: {text}"
+                    )
             self.monitor.record(mon.PerfRecord(
                 ts=self.clock.now(), phase="training",
                 signature=pq.signature, plan_id=plan.id,

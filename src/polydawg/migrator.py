@@ -108,7 +108,7 @@ def _relation_to_assoc(table, spec):
             if (r, c) in entries:
                 raise CastError(f"duplicate entry for ({r!r}, {c!r})")
             entries[(r, c)] = v
-        out = CanonicalTable(
+        out = CanonicalTable.trusted(
             [("row", TEXT), ("col", TEXT), ("val", table.schema[2][1])],
             [(r, c, v) for (r, c), v in sorted(entries.items())],
         )
@@ -136,7 +136,7 @@ def _relation_to_assoc(table, spec):
             if (rkey, ckey) in entries:
                 raise CastError(f"duplicate key projection {rkey!r}")
             entries[(rkey, ckey)] = row[i]
-    out = CanonicalTable(
+    out = CanonicalTable.trusted(
         [("row", TEXT), ("col", TEXT), ("val", val_tag)],
         [(r, c, v) for (r, c), v in sorted(entries.items())],
     )
@@ -159,7 +159,7 @@ def _assoc_to_relation(table, spec):
     _require_triples(table, "assoc->relation cast")
     val_tag = table.schema[2][1]
     if spec.pivot is None:
-        out = CanonicalTable(
+        out = CanonicalTable.trusted(
             [("r", TEXT), ("c", TEXT), ("v", val_tag)], list(table.rows)
         )
         return out, CastSpec(RELATIONAL, KEYVALUE, key=("r",))
@@ -182,7 +182,8 @@ def _assoc_to_relation(table, spec):
             _key_value(tag, part) for (name, tag), part in zip(key_schema, parts)
         ]
         out_rows.append(tuple(keyvals) + tuple(rows[rkey]))
-    out = CanonicalTable(list(key_schema) + list(attr_schema), out_rows)
+    out = CanonicalTable.trusted(list(key_schema) + list(attr_schema),
+                                 out_rows)
     return out, CastSpec(RELATIONAL, KEYVALUE, key=tuple(n for n, _ in key_schema))
 
 
@@ -211,7 +212,8 @@ def _relation_to_array(table, spec):
         seen.add(coords)
         out_rows.append(coords + tuple(row[i] for i in aidx))
     schema = [(names[i], INT) for i in didx] + [table.schema[i] for i in aidx]
-    out = CanonicalTable(schema, sorted(out_rows, key=lambda r: r[: len(didx)]))
+    out = CanonicalTable.trusted(
+        schema, sorted(out_rows, key=lambda r: r[: len(didx)]))
     inverse = CastSpec(ARRAY, RELATIONAL, dim_cols=dim_cols,
                        column_order=list(names))
     return out, inverse
@@ -227,9 +229,9 @@ def _array_to_relation(table, spec):
         order = [table.column_index(n) for n in spec.column_order]
         schema = [table.schema[i] for i in order]
         rows = [tuple(r[i] for i in order) for r in table.rows]
-        out = CanonicalTable(schema, rows)
+        out = CanonicalTable.trusted(schema, rows)
     else:
-        out = CanonicalTable(list(table.schema), list(table.rows))
+        out = CanonicalTable.trusted(list(table.schema), list(table.rows))
     return out, CastSpec(RELATIONAL, ARRAY, dim_cols=dim_cols or None)
 
 
@@ -255,7 +257,7 @@ def _assoc_to_array(table, spec):
             raise CastError(f"duplicate entry for ({r!r}, {c!r})")
         seen.add(coords)
         out_rows.append(coords + (v,))
-    out = CanonicalTable(
+    out = CanonicalTable.trusted(
         [("r", INT), ("c", INT), ("v", val_tag)], sorted(out_rows)
     )
     return out, CastSpec(ARRAY, KEYVALUE, dim_maps=[row_map, col_map])
@@ -287,7 +289,7 @@ def _array_to_assoc(table, spec):
         else:
             rkey, ckey = str(i), str(j)
         out_rows.append((rkey, ckey, v))
-    out = CanonicalTable(
+    out = CanonicalTable.trusted(
         [("row", TEXT), ("col", TEXT), ("val", table.schema[aidx[0]][1])],
         sorted(out_rows),
     )
@@ -346,14 +348,25 @@ def temp_name(alias, to_engine):
     return f"__mig_{alias}_{to_engine}"
 
 
+def array_dims(schema):
+    """Dimension names of a value in the array model with ``schema``:
+    its first two columns, which must be int. Query validation applies
+    this to every cast into the array model, as migration does."""
+    for name, tag in schema[:2]:
+        if tag != INT:
+            raise CastError(f"dimension column {name!r} must be int")
+    return [name for name, _ in schema[:2]]
+
+
 def _array_load_options(table, maps):
     """Array engine load options for a cast triple table; ``maps`` are
     the dimension key maps of the last cast, if it produced any."""
+    names = array_dims(table.schema)
     if not table.rows:
         # empty value: no keys to map, load as a 1x1 all-empty array
-        return {"dims": [(n, 1) for n, _ in table.schema[:2]]}
+        return {"dims": [(n, 1) for n in names]}
     dims = []
-    for axis, (name, _) in enumerate(table.schema[:2]):
+    for axis, name in enumerate(names):
         if maps:
             length = max(len(maps[axis]), 1)
         else:
@@ -371,7 +384,7 @@ def normalize_for_engine(target_model, table):
     if target_model == KEYVALUE:
         if not _is_triple_schema(table.schema):
             raise CastError("keyvalue load needs a triple table")
-        return CanonicalTable(
+        return CanonicalTable.trusted(
             [("row", TEXT), ("col", TEXT), ("val", table.schema[2][1])],
             [r for r in table.rows if r[2] is not None],
         )

@@ -225,6 +225,8 @@ class MonitorDB:
     def record(self, record):
         """Index a record and append it durably to the log."""
         if self.path:
+            if not self.records:  # the log's directory may not exist yet
+                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             with open(self.path, "a", encoding="ascii") as fh:
                 fh.write(_fmt(record) + "\n")
                 fh.flush()

@@ -200,12 +200,26 @@ class _Decomposer:
         return f"r{len(self.nodes)}"
 
     def add_container(self, **kw):
+        """Alias of a new container, or of the identical one (engine,
+        query, model and source leaf) already added, so a sub-expression
+        a query repeats runs once per plan."""
         c = Container(alias=self._calias(), **kw)
+        for old in self.containers:
+            if (old.engine_id, old.query, old.out_model, old.source_leaf) == (
+                    c.engine_id, c.query, c.out_model, c.source_leaf):
+                return old.alias
         self.containers.append(c)
         return c.alias
 
     def add_node(self, **kw):
+        """Alias of a new remainder node; a cast of an input already cast
+        the same way reuses the earlier node's alias."""
         n = RNode(alias=self._ralias(), **kw)
+        if n.kind == "cast":
+            for old in self.nodes:
+                if (old.kind == "cast" and old.inputs == n.inputs
+                        and old.params == n.params):
+                    return old.alias
         self.nodes.append(n)
         return n.alias
 

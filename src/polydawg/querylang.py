@@ -19,7 +19,7 @@ from .errors import (
     CastError, CatalogError, QuerySyntaxError, SchemaError, TypeMismatchError,
     ValidationError,
 )
-from .migrator import RELATIONAL, apply_cast, chain_for
+from .migrator import ARRAY, RELATIONAL, apply_cast, array_dims, chain_for
 from .values import REAL, TEXT, is_numeric_tag
 
 
@@ -554,7 +554,8 @@ def _resolve_object(name, island, res, span_owner):
 
 def _cast_schema(inner, cast, target_model):
     """Schema of a cast result: the chain the executor runs for the cast,
-    applied to an empty table of the inner scope's schema."""
+    applied to an empty table of the inner scope's schema. A result in
+    the array model must also have the dimensions migration loads."""
     if (inner.model == RELATIONAL and target_model != RELATIONAL
             and not cast.key):
         raise ValidationError(
@@ -563,6 +564,8 @@ def _cast_schema(inner, cast, target_model):
     table = CanonicalTable(inner.schema)
     for spec in chain_for(inner.model, target_model, key=cast.key):
         table, _ = apply_cast(table, spec)
+    if target_model == ARRAY:
+        array_dims(table.schema)
     return table.schema
 
 

@@ -44,7 +44,14 @@ def check_value(tag, v):
         if tag == REAL and isinstance(v, int) and not isinstance(v, bool):
             return float(v)
         raise SchemaError(f"value {v!r} does not match tag {tag!r}")
-    if tag == REAL and not math.isfinite(v):
+    return finite(v) if tag == REAL else v
+
+
+def finite(v):
+    """Real ``v`` (or null) unless it is infinite or NaN, which raises.
+    Checked values are finite, so only arithmetic that overflows can make
+    such a value: engines pass each real they compute through this."""
+    if v is not None and not math.isfinite(v):
         raise SchemaError("non-finite real values are rejected")
     return v
 

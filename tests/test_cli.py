@@ -41,6 +41,24 @@ def test_datagen_rejects_bad_scale(workspace, capsys):
     assert "scale" in err
 
 
+def test_commands_that_write_nothing_leave_no_data_directory(
+        workspace, capsys):
+    code, _, _ = run(["datagen", "--scale", "1", "--out", "ds"], capsys)
+    assert code == 0
+    code, _, err = run(["query", "relational(SELECT * FROM nowhere)"],
+                       capsys)
+    assert code == 2 and "unknown object" in err
+    assert sorted(os.listdir(workspace)) == ["ds"]
+    # the first monitor record creates the log's directory
+    code, _, _ = run(["load", "--manifest", "ds/manifest.json"], capsys)
+    assert code == 0
+    (workspace / "cfg").write_text("monitor_log = logs/monitor.log\n")
+    code, _, _ = run(["--config", "cfg", "query",
+                      "relational(SELECT id FROM patients)"], capsys)
+    assert code == 0
+    assert (workspace / "logs" / "monitor.log").read_text().count("\n") == 1
+
+
 def test_load_single_object_and_query(workspace, capsys):
     table = CanonicalTable(
         [("id", "text"), ("age", "int")], [("p1", 70), ("p2", 50)])

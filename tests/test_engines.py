@@ -379,6 +379,15 @@ def test_assoc_ops_agree_on_kv_and_arr(catalog, engine):
             catalog.execute_native(engine, query)
 
 
+def test_an_arr_assoc_operand_with_a_null_cell_is_a_type_error(catalog):
+    table = CanonicalTable([("r", "int"), ("c", "int"), ("v", "real")],
+                           [(0, 0, 1.5), (0, 1, None)])
+    catalog.load("arr", "N", table, {"dims": [("r", 1), ("c", 2)]})
+    for query in ("MATMUL N N", "EWISE N N plus"):
+        with pytest.raises(TypeMismatchError, match="null cell of 'N'"):
+            catalog.execute_native("arr", query)
+
+
 # --- catalog --------------------------------------------------------------------
 
 def test_catalog_object_names_are_engine_unique(catalog):

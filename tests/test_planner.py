@@ -201,19 +201,21 @@ def test_triple_relation_reaches_arr_through_assoc(env):
 
 
 def test_codosing_plan_ids_and_migrations_are_pinned(env):
+    # the repeated operand is one container and one cast node (r0), so the
+    # rel-site plan moves r0 to rel once, for both the transpose and the
+    # matmul
     _, _, plans = plan(env, f"d4m(matmul({CODOSE}, transpose({CODOSE})))")
     assert {p.id: [m.norm() for m in migrations(p)] for p in plans} == {
-        "1d7c63401ca9543d": ["M[None->rel:r1:keyvalue->relational]",
+        "ace116943c7b51c6": ["M[None->rel:r0:keyvalue->relational]",
+                             "M[None->rel:r1:keyvalue->relational]"],
+        "3783b0e1299aa0ed": ["M[None->rel:r0:keyvalue->relational]",
                              "M[None->arr:r0:keyvalue->array]",
-                             "M[None->arr:r2:keyvalue->array]"],
-        "29b4e10363250949": ["M[None->rel:r1:keyvalue->relational]",
-                             "M[None->kv:r0:]", "M[None->kv:r2:]"],
-        "e244352cef6d3f5f": ["M[None->rel:r1:keyvalue->relational]",
-                             "M[None->rel:r0:keyvalue->relational]",
-                             "M[None->rel:r2:keyvalue->relational]"],
+                             "M[None->arr:r1:keyvalue->array]"],
+        "3801db41290e1641": ["M[None->rel:r0:keyvalue->relational]",
+                             "M[None->kv:r0:]", "M[None->kv:r1:]"],
     }
     assert [p.id for p in plans] == [
-        "1d7c63401ca9543d", "29b4e10363250949", "e244352cef6d3f5f"]
+        "ace116943c7b51c6", "3783b0e1299aa0ed", "3801db41290e1641"]
 
 
 KV_SELECT = "d4m(select(matmul(vitals, vitals), rows='a':'z'))"

@@ -199,6 +199,10 @@ NOTES_AS_ARRAY = "array(filter(cast(text(scan(notes)), array), r >= 0))"
     ("array(agg(count(v), waveform, by(v)))", "unknown dimension 'v'"),
     ("array(subarray(waveform, v=0:1))", "unknown dimension 'v'"),
     ("d4m(transpose(cast(raw.kv(SCAN notes), d4m)))", "raw scope"),
+    # the first two columns of a value in the array model are its
+    # dimensions, as migration loads it
+    ("array(filter(cast(array(agg(sum(v), waveform, by(patient))), array), "
+     "sum > 1))", "dimension column 'sum' must be int"),
 ])
 def test_validate_reports_what_the_engine_or_cast_would(env, text, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
