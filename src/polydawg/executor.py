@@ -13,8 +13,11 @@ a per-step delay model instead of waiting on wall time.
 
 import random
 import time
-from collections import defaultdict, deque
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from . import monitor as mon
 from . import planner, querylang
@@ -79,47 +82,56 @@ class StepDelayModel:
 
 
 class UsageTracker:
-    """Busy intervals per engine; reports busy fractions over the last
+    """Busy time per engine; reports busy fractions over the last
     ``window`` seconds.
 
-    An interval that ended more than ``window`` before the newest end
-    recorded is dropped, so memory stays bounded and fractions are exact
-    for any ``now`` at or after that newest end.
+    Each engine keeps disjoint spans sorted by start, as parallel lists of
+    starts, ends and lengths. ``add`` merges an interval with every span it
+    overlaps or touches, also spans that start after the interval does, so
+    no two spans touch. ``busy_fraction`` bisects to the spans that reach
+    into the window, clips the first and the last, and adds the lengths
+    left to right: the same float sum, in the same order, as clipping,
+    sorting and merging every interval at query time.
+
+    A span that ended more than ``window`` before the newest end recorded
+    is dropped, so memory stays bounded and fractions are exact for any
+    ``now`` at or after that newest end.
     """
 
     def __init__(self, window):
         self.window = window
-        self.intervals = defaultdict(deque)  # engine -> (start, end) as added
+        # engine -> (starts, ends, lengths) of its merged spans
+        self.spans = defaultdict(lambda: ([], [], []))
         self._newest_end = float("-inf")
 
     def add(self, engine, start, end):
         if end <= start:
             return
         self._newest_end = max(self._newest_end, end)
-        spans = self.intervals[engine]
-        spans.append((start, end))
-        cutoff = self._newest_end - self.window
-        while spans and spans[0][1] < cutoff:
-            spans.popleft()
+        starts, ends, lengths = self.spans[engine]
+        # spans i..j-1 overlap or touch [start, end]
+        i = bisect_left(ends, start)
+        j = bisect_right(starts, end, i)
+        if i < j:
+            start, end = min(start, starts[i]), max(end, ends[j - 1])
+        starts[i:j], ends[i:j], lengths[i:j] = [start], [end], [end - start]
+        old = bisect_left(ends, self._newest_end - self.window)
+        if old:
+            del starts[:old], ends[:old], lengths[:old]
 
     def busy_fraction(self, engine, now):
+        if engine not in self.spans:
+            return 0.0
+        starts, ends, lengths = self.spans[engine]
         lo = now - self.window
-        spans = []
-        for start, end in self.intervals.get(engine, ()):
-            s, e = max(start, lo), min(end, now)
-            if e > s:
-                spans.append((s, e))
-        spans.sort()
-        busy, cur = 0.0, None
-        for s, e in spans:
-            if cur is None or s > cur[1]:
-                if cur:
-                    busy += cur[1] - cur[0]
-                cur = [s, e]
-            else:
-                cur[1] = max(cur[1], e)
-        if cur:
-            busy += cur[1] - cur[0]
+        i = bisect_right(ends, lo)  # the first span ending after lo
+        j = bisect_left(starts, now, i)  # the first starting at now or later
+        if i == j:
+            return 0.0
+        busy = min(ends[i], now) - max(starts[i], lo)
+        if j - i > 1:
+            busy = reduce(add, lengths[i + 1:j - 1], busy)
+            busy += min(ends[j - 1], now) - starts[j - 1]
         return min(busy / self.window, 1.0)
 
 

@@ -8,22 +8,28 @@ percent-escaped so tabs/newlines in payloads cannot corrupt framing:
 
 ``objects`` and ``constants`` join their elements with ';'; ``usage`` is
 ``engine=busyfraction`` pairs joined with ','. Reopening a log replays
-every line, so history survives restarts byte-for-byte. A final line
-without its newline is an append that was cut short: replay drops it and
-truncates the log to the last complete line.
+every line, so history survives restarts byte-for-byte. Replay builds one
+``Signature`` object per distinct signature text and shares it between
+that signature's records and the index; every line's timestamp, runtime
+and usage are still parsed and checked. A final line without its newline
+is an append that was cut short: replay drops it and truncates the log to
+the last complete line.
 
 ``MonitorDB.nearest`` finds the most similar recorded signature without
 scoring every one. Signatures are bucketed by structure hash, object set
 and number of distinct constants. A member shares at most the smaller of
 its own and the probe's constant counts, out of at least the larger, which
 bounds the similarity of every member of a bucket; buckets are visited in
-order of that bound until it falls below the best score found. Inside a
-bucket an inverted index from each constant to its members gives the
-shared-constant count of every member that overlaps the probe. Members
-with equal counts score the same, so only the most recent can win, and the
-bucket's most recent member stands in for those that share no constant
-beyond the ones every member holds. The result equals scoring every
-signature, ties to the most recent included.
+order of that bound until it falls below the best score found. A bucket
+numbers its members in the order they joined and keeps, per member, its
+signature and the indexes of its records, so a lookup counts and compares
+ints and never hashes a signature. Inside a bucket an inverted index from
+each constant to the members holding it gives the shared-constant count of
+every member that overlaps the probe. Members with equal counts score the
+same, so only the one recorded most recently can win, and the bucket's
+most recent member stands in for those that share no constant beyond the
+ones every member holds. The result equals scoring every signature, ties
+to the most recent included.
 """
 
 import os
@@ -74,25 +80,37 @@ def _fmt(record):
     return "\t".join(_esc(f) for f in fields)
 
 
-def _parse_line(line, lineno):
+def _parse_line(line, lineno, signatures, texts):
+    """The record on one log line. ``signatures`` maps the raw structure,
+    objects and constants fields to the Signature built from them, and
+    ``texts`` maps raw phase and plan-id fields to one shared str; both
+    live for one replay, so each distinct signature is built once."""
     parts = line.split("\t")
     if len(parts) != _FIELDS:
         raise MonitorError(f"log line {lineno}: expected {_FIELDS} fields")
-    parts = [unquote(p) for p in parts]
     try:
-        objects = frozenset(
-            unquote(o) for o in parts[3].split(";") if o
-        )
-        constants = tuple(unquote(c) for c in parts[4].split(";") if c)
+        key = (parts[2], parts[3], parts[4])
+        signature = signatures.get(key)
+        if signature is None:
+            structure, objects, constants = (unquote(p) for p in key)
+            signature = signatures[key] = Signature(
+                structure,
+                frozenset(unquote(o) for o in objects.split(";") if o),
+                tuple(unquote(c) for c in constants.split(";") if c))
+        phase, plan_id = texts.get(parts[1]), texts.get(parts[5])
+        if phase is None:
+            phase = texts[parts[1]] = unquote(parts[1])
+        if plan_id is None:
+            plan_id = texts[parts[5]] = unquote(parts[5])
         usage = {}
         if parts[7]:
-            for pair in parts[7].split(","):
+            for pair in unquote(parts[7]).split(","):
                 engine, frac = pair.split("=", 1)
                 usage[engine] = float(frac)
         return PerfRecord(
-            ts=float(parts[0]), phase=parts[1],
-            signature=Signature(parts[2], objects, constants),
-            plan_id=parts[5], runtime_ms=float(parts[6]), usage=usage,
+            ts=float(unquote(parts[0])), phase=phase, signature=signature,
+            plan_id=plan_id, runtime_ms=float(unquote(parts[6])),
+            usage=usage,
         )
     except (ValueError, IndexError) as e:
         raise MonitorError(f"log line {lineno}: {e}") from e
@@ -129,20 +147,25 @@ def usage_differs(usage_a, usage_b, bound=USAGE_DIFFERENCE_BOUND):
 
 class _Bucket:
     """The signatures that share a structure hash, an object set and a
-    number of distinct constants."""
+    number of distinct constants, numbered in the order they joined."""
 
     def __init__(self, structure, objects, size):
         self.structure = structure
         self.objects = objects
         self.size = size
-        self.members = 0
+        self.signatures = []  # member -> its signature
+        self.history = []  # member -> indexes of its records, oldest first
         self.postings = defaultdict(list)  # constant -> members holding it
         self.latest = None  # the most recently recorded member
 
     def add(self, signature, constants):
-        self.members += 1
+        """Number a new member and return its number."""
+        member = len(self.signatures)
+        self.signatures.append(signature)
+        self.history.append([])
         for constant in constants:
-            self.postings[constant].append(signature)
+            self.postings[constant].append(member)
+        return member
 
     def bound(self, signature, probe, weights):
         """The highest similarity any member can have to ``signature``,
@@ -160,16 +183,16 @@ class _Bucket:
         member, which stands in for the members that share none, to its
         count too. Constants every member holds are counted once, not
         walked."""
-        common, counts = 0, {}
+        common, counts, members = 0, {}, len(self.signatures)
         for constant in probe:
             posting = self.postings.get(constant)
             if posting is None:
                 continue
-            if len(posting) == self.members:
+            if len(posting) == members:
                 common += 1
                 continue
-            for sig in posting:
-                counts[sig] = counts.get(sig, 0) + 1
+            for member in posting:
+                counts[member] = counts.get(member, 0) + 1
         counts.setdefault(self.latest, 0)
         return common, counts
 
@@ -185,9 +208,8 @@ class MonitorDB:
         self.path = path
         self.weights = weights
         self.records = []
-        self._by_sig = defaultdict(list)  # signature -> record indexes
         self._buckets = {}  # (structure, objects, constant count) -> _Bucket
-        self._bucket_of = {}  # signature -> its _Bucket
+        self._bucket_of = {}  # signature -> (its _Bucket, its member number)
         self.pending = []  # (signature, plan, context) awaiting background run
         self.torn_tail = ""  # the incomplete final line replay dropped
         if path and os.path.exists(path):
@@ -195,6 +217,7 @@ class MonitorDB:
 
     def _replay(self):
         complete = 0  # characters (ASCII, so bytes) in complete lines
+        signatures, texts = {}, {}
         with open(self.path, encoding="ascii", newline="\n") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.endswith("\n"):
@@ -202,25 +225,26 @@ class MonitorDB:
                     break
                 complete += len(line)
                 if line != "\n":
-                    self._index(_parse_line(line[:-1], lineno))
+                    self._index(_parse_line(line[:-1], lineno, signatures,
+                                            texts))
         if self.torn_tail:
             # the next append must start on a fresh line
             os.truncate(self.path, complete)
 
     def _index(self, record):
         sig = record.signature
-        self._by_sig[sig].append(len(self.records))
-        self.records.append(record)
-        bucket = self._bucket_of.get(sig)
-        if bucket is None:
+        found = self._bucket_of.get(sig)
+        if found is None:
             constants = set(sig.constants)
             key = (sig.structure, sig.objects, len(constants))
             bucket = self._buckets.get(key)
             if bucket is None:
                 bucket = self._buckets[key] = _Bucket(*key)
-            bucket.add(sig, constants)
-            self._bucket_of[sig] = bucket
-        bucket.latest = sig
+            found = self._bucket_of[sig] = (bucket, bucket.add(sig, constants))
+        bucket, member = found
+        bucket.history[member].append(len(self.records))
+        bucket.latest = member
+        self.records.append(record)
 
     def record(self, record):
         """Index a record and append it durably to the log."""
@@ -236,10 +260,14 @@ class MonitorDB:
     # --- lookups -----------------------------------------------------------
 
     def signatures(self):
-        return list(self._by_sig)
+        return list(self._bucket_of)
 
     def records_for(self, signature):
-        return [self.records[i] for i in self._by_sig.get(signature, ())]
+        found = self._bucket_of.get(signature)
+        if found is None:
+            return []
+        bucket, member = found
+        return [self.records[i] for i in bucket.history[member]]
 
     def nearest(self, signature):
         """(signature, similarity) of the closest recorded signature; ties
@@ -258,19 +286,19 @@ class MonitorDB:
             # members sharing as many constants score the same, so only
             # the most recent of them can win
             by_shared = {}  # shared count -> (recency, member)
-            for sig, shared in counts.items():
-                candidate = (self._by_sig[sig][-1], sig)
+            for member, shared in counts.items():
+                candidate = (bucket.history[member][-1], member)
                 if candidate > by_shared.get(shared, (-1,)):
                     by_shared[shared] = candidate
             same = bucket.structure == signature.structure
             objects = jaccard(bucket.objects, signature.objects)
-            for shared, (recency, sig) in by_shared.items():
+            for shared, (recency, member) in by_shared.items():
                 shared += common
                 union = len(probe) + bucket.size - shared
                 score = _weighted(self.weights, same, objects,
                                   shared / union if union else 1.0)
                 if best is None or (score, recency) > best[:2]:
-                    best = (score, recency, sig)
+                    best = (score, recency, bucket.signatures[member])
         if best is None:
             return None, 0.0
         return best[2], best[0]
@@ -333,7 +361,7 @@ class MonitorDB:
         """Per-plan mean runtimes for every signature whose structure hash
         starts with ``structure``; used by the CLI stats command."""
         out = {}
-        for sig in self._by_sig:
+        for sig in self._bucket_of:
             if not sig.structure.startswith(structure):
                 continue
             runtimes = defaultdict(list)
@@ -347,7 +375,7 @@ class MonitorDB:
     def stats(self):
         """Per-signature summary used by the CLI."""
         out = []
-        for sig in self._by_sig:
+        for sig in self._bucket_of:
             recs = self.records_for(sig)
             ok = [r for r in recs if r.phase != "failed"]
             out.append({

@@ -13,6 +13,7 @@ parsed by a callback supplied by the query-language parser.
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .errors import QuerySyntaxError
 
@@ -172,7 +173,11 @@ class Lit:
         if self.tag == "text":
             return quote_sq(self.value)
         if self.tag == "real":
-            return repr(float(self.value))
+            # the shortest digits that read back as the value, written
+            # positionally and always with a point so that the tokenizer
+            # reads a REAL: 1e-05 is 0.00001, 1e+16 is 10000000000000000.0
+            text = format(Decimal(repr(float(self.value))), "f")
+            return text if "." in text else text + ".0"
         return str(self.value)
 
 

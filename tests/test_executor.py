@@ -59,6 +59,20 @@ def test_kv_select_over_a_kv_result_agrees_with_the_oracle():
         generators.standard_catalog()[0].directory()
 
 
+@pytest.mark.parametrize("text", [
+    "relational(SELECT patient_id FROM meds WHERE dose > 0.00001)",
+    "relational(SELECT patient_id FROM meds WHERE dose < 10000000000000000.0)",
+])
+def test_tiny_and_huge_real_literals_agree_with_the_oracle(text):
+    # each real reaches the native query text in a form it can read back
+    system = fresh_system()
+    _, want = oracle.Oracle(system.catalog).query(text)
+    pq = system.plan_query(text)
+    for plan in pq.plans:
+        got, _ = system.execute_plan(pq, plan)
+        assert want and oracle.rows_bag_equal(got.rows, want), plan.id
+
+
 def test_usage_tracker_merges_overlapping_intervals():
     tracker, short = UsageTracker(10.0), UsageTracker(2.0)
     for t in (tracker, short):
@@ -99,17 +113,25 @@ def test_usage_tracker_stays_bounded_and_exact():
     everything = {"rel": ([], []), "kv": ([], [])}  # intervals, ends
     for _ in range(10000):
         engine = rng.choice(["rel", "kv"])
-        start = clock.now()
+        intervals, ends = everything[engine]
+        start, kind = clock.now(), rng.random()
+        if kind < 0.1 and intervals:
+            # starts before earlier intervals and overlaps several of them
+            start -= rng.uniform(0.0, 3.0)
+        elif kind < 0.2 and intervals:
+            # starts exactly where a recent interval starts or ends
+            start = rng.choice(rng.choice(intervals[-5:]))
         clock.advance(rng.uniform(0.0, 0.2))
         tracker.add(engine, start, clock.now())
-        everything[engine][0].append((start, clock.now()))
-        everything[engine][1].append(clock.now())
-        clock.advance(rng.uniform(0.0, 0.1))
+        intervals.append((start, clock.now()))
+        ends.append(clock.now())
+        if rng.random() < 0.8:  # otherwise the next interval touches this one
+            clock.advance(rng.uniform(0.0, 0.1))
         for e, (intervals, ends) in everything.items():
             assert tracker.busy_fraction(e, clock.now()) == \
                 unpruned_busy_fraction(intervals, ends, clock.now(), 10.0)
     # steps average 0.15 s, so a 10 s window holds about 70 intervals
-    assert max(len(v) for v in tracker.intervals.values()) < 200
+    assert max(len(starts) for starts, _, _ in tracker.spans.values()) < 200
 
 
 def test_training_records_every_plan_and_picks_the_fastest():

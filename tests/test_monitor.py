@@ -58,6 +58,40 @@ def test_record_and_replay_round_trip(tmp_path):
         assert len(line.split("\t")) == 8
 
 
+def test_replay_builds_each_signature_once(tmp_path):
+    path = tmp_path / "monitor.log"
+    db = MonitorDB(str(path))
+    runs = [("1", "p1"), ("2", "p2"), ("1", "p2"), ("1", "p1"), ("2", "p1")]
+    for ts, (constant, plan) in enumerate(runs):
+        # a fresh, equal Signature object for every record
+        db.record(rec(ts=float(ts), signature=sig(constants=(constant,)),
+                      plan_id=plan, runtime_ms=ts + 0.5,
+                      usage={"rel": ts / 10}))
+
+    again = MonitorDB(str(path))
+    assert again.records == db.records
+    assert again.dump_lines() == db.dump_lines()
+    assert "".join(line + "\n" for line in again.dump_lines()) == \
+        path.read_text()
+    indexed = again.signatures()
+    assert indexed == db.signatures()
+    for signature in indexed:
+        assert all(r.signature is signature
+                   for r in again.records_for(signature))
+        assert again.nearest(signature)[0] is signature
+    assert again.records[1].plan_id is again.records[2].plan_id
+
+    # line 3 repeats line 1's signature; its other fields are still checked
+    lines = path.read_text().splitlines(keepends=True)
+    for field, bad in ((0, "soon"), (6, "slow"), (7, "rel%3Dbusy")):
+        parts = lines[2][:-1].split("\t")
+        parts[field] = bad
+        path.write_text("".join(lines[:2]) + "\t".join(parts) + "\n"
+                        + "".join(lines[3:]))
+        with pytest.raises(MonitorError, match="log line 3"):
+            MonitorDB(str(path))
+
+
 def test_replay_rejects_corrupt_lines(tmp_path):
     path = tmp_path / "monitor.log"
     path.write_text("only\tthree\tfields\n")

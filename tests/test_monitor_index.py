@@ -1,5 +1,6 @@
 """The indexed ``MonitorDB.nearest`` against a brute-force linear scan."""
 
+import itertools
 import random
 
 import pytest
@@ -41,11 +42,29 @@ def random_history(rng, shared):
     return [rng.choice(pool) for _ in range(rng.randint(1, 80))]
 
 
+def tied_history(rng, shared):
+    """Members of one bucket, two constants each from a small alphabet,
+    recorded once each and then again in random order: many share as many
+    constants with a probe, so they tie on score, and the most recent of
+    them keeps changing."""
+    pairs = rng.sample(list(itertools.combinations(CONSTANTS[:4], 2)),
+                       rng.randint(3, 6))
+    pool = [Signature("s1", frozenset({"rel.a"}),
+                      tuple(sorted(pair + (("LIMIT",) if shared else ()))))
+            for pair in pairs]
+    return pool + [rng.choice(pool) for _ in range(rng.randint(5, 40))]
+
+
 def probes(rng, history, shared):
     yield Signature("s1", frozenset(), ())
     yield Signature("none", frozenset(), ())
     for sig in history[-5:]:
         yield sig
+        # one constant of a recent member: the members holding it tie, and
+        # so do the members holding none of the probe's constants
+        constants = sorted(set(sig.constants))
+        yield Signature(sig.structure, sig.objects,
+                        (rng.choice(constants), "unseen") if constants else ())
     for _ in range(25):
         yield random_signature(rng, shared and rng.random() < 0.5)
 
@@ -56,11 +75,11 @@ def record_all(db, history):
 
 
 @pytest.mark.parametrize("weights", WEIGHTS)
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(60))
 def test_indexed_nearest_equals_linear_scan(weights, seed):
     rng = random.Random(seed)
     shared = seed % 2 == 1
-    history = random_history(rng, shared)
+    history = (random_history if seed < 40 else tied_history)(rng, shared)
     db = MonitorDB(weights=weights)
     for prefix in (len(history) // 2, len(history)):
         record_all(db, history[len(db.records):prefix])

@@ -1,3 +1,6 @@
+import random
+import struct
+
 import pytest
 
 from polydawg import sql
@@ -46,6 +49,27 @@ def test_collect_literals():
     lits = []
     sql.collect_literals(stmt, lits)
     assert sorted(lits) == ["'v'", "3", "7"]
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def test_real_lexemes_read_back_as_the_same_float():
+    rng = random.Random(11)
+    lo, hi = _bits(5e-324), _bits(1e308)
+    # every float is a bit pattern, so these are spread over all exponents
+    values = [struct.unpack("<d", struct.pack("<q", rng.randint(lo, hi)))[0]
+              for _ in range(2000)]
+    values += [5e-324, 1e-05, 0.0001, 0.5, 1.0, 1e15, 1e16, 1e308]
+    for v in values:
+        lexeme = sql.Lit("real", v).lexeme
+        tokens = sql.tokenize(lexeme)
+        assert [t.kind for t in tokens] == ["REAL", "EOF"], lexeme
+        assert float(tokens[0].text) == v, lexeme
+    assert sql.Lit("real", 1e-05).lexeme == "0.00001"
+    assert sql.Lit("real", 1e16).lexeme == "10000000000000000.0"
+    assert sql.Lit("real", 2.5).lexeme == "2.5"
 
 
 @pytest.mark.parametrize("bad", [
