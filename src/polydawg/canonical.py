@@ -1,26 +1,51 @@
 """CanonicalTable: the tabular interchange value, plus the CIF file format.
 
 Values are checked where data comes into the system and nowhere else:
-``CanonicalTable(schema, rows)`` runs ``check_value`` on every value, and
-CIF parsing, the tables a user builds for ``catalog.load`` and
-``datagen`` all construct tables that way. Engines, casts and the
-migrator build their outputs from values already checked, so they use
+``CanonicalTable(schema, rows)`` checks every value, and CIF parsing,
+the tables a user builds for ``catalog.load`` and ``datagen`` all
+construct tables that way. Engines, casts and the migrator build their
+outputs from values already checked, so they use
 ``CanonicalTable.trusted``, which checks nothing: every row is a tuple
 as long as the schema and every non-null value already has its column's
 exact Python type (``int``, ``float`` or ``str``), as ``check_value``
 would return it.
 
+The check runs a column at a time, in builtins (``map``, ``set``,
+``zip``) rather than a Python loop per value: every row a tuple as long
+as the schema, every column's non-null values of its tag's exact type,
+every real finite. A table that fails it goes through ``check_value``
+value by value in row order, which widens an int in a real column and
+raises the error the first bad value gives.
+
 CIF is line oriented. The first line is
 ``#schema:<name>:<tag>[,<name>:<tag>...]`` with tag in {int,real,text};
 every following line is one comma-separated row. Text values are
-double-quoted with ``""`` escaping; an empty field is null.
+double-quoted with ``""`` escaping; an empty field is null. Lines end
+where ``str.splitlines`` ends them, and blank lines are skipped.
+
+``parse_cif`` reads the rows a chunk of lines at a time. One regular
+expression per schema matches whole rows, the matches are transposed
+into columns, and each column is converted at once (``map(int, ...)``,
+``map(float, ...)``). A chunk holding a line that the pattern or a
+conversion refuses is read again a character at a time, only to word
+the error and give its line number. ``write_cif`` refuses a table that
+``parse_cif`` could not read back equal: text or a column name holding
+a line break, a column name that is empty or holds a comma, or no
+columns. A null in a one-column table is a blank line, which CIF
+cannot tell from no row, so ``save_cif`` refuses that too; a snapshot
+that refuses an object writes nothing.
 """
 
 import math
+import operator
+import re
 from dataclasses import dataclass, field
+from types import NoneType
 
 from .errors import SchemaError
-from .values import INT, REAL, TEXT, TAGS, check_value, row_sort_key
+from .values import (
+    INT, PY_TYPE, REAL, TEXT, TAGS, check_value, row_sort_key,
+)
 
 
 @dataclass
@@ -32,7 +57,9 @@ class CanonicalTable:
         for name, tag in self.schema:
             if tag not in TAGS:
                 raise SchemaError(f"unknown tag {tag!r} for column {name!r}")
-        self.rows = [self._conform(r) for r in self.rows]
+        rows = list(self.rows)
+        self.rows = rows if self._conforms(rows) else [
+            self._conform(r) for r in rows]
 
     @classmethod
     def trusted(cls, schema, rows):
@@ -51,6 +78,25 @@ class CanonicalTable:
         return tuple(
             check_value(tag, v) for (_, tag), v in zip(self.schema, row)
         )
+
+    def _conforms(self, rows):
+        """Whether ``_conform`` would return every row as it is: a tuple
+        as long as the schema, each non-null value of its column's exact
+        type and, if real, finite. Checked a column at a time; on False
+        the caller runs ``_conform``, which widens ints in real columns
+        and raises the first error in row order."""
+        if not (set(map(type, rows)) <= {tuple}
+                and set(map(len, rows)) <= {len(self.schema)}):
+            return False
+        for (_, tag), column in zip(self.schema, zip(*rows)):
+            if not set(map(type, column)) <= {PY_TYPE[tag], NoneType}:
+                return False
+            # filter(None, ...) drops the nulls, and the zeros, which are
+            # finite
+            if tag == REAL and not all(map(math.isfinite,
+                                           filter(None, column))):
+                return False
+        return True
 
     @property
     def column_names(self):
@@ -113,6 +159,10 @@ def bag_equal(a, b, rel_tol=0.0, a_sorted=None):
 
 # --- CIF serialization ---------------------------------------------------
 
+# What str.splitlines breaks a line on, so what no CIF line can hold.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _format_value(tag, v):
     if v is None:
         return ""
@@ -123,7 +173,26 @@ def _format_value(tag, v):
     return str(v)
 
 
+def _check_writable(table):
+    """Raise SchemaError for a table ``write_cif`` cannot write so that
+    ``parse_cif`` reads it back: one without columns, a column name that
+    is empty or holds a comma or a line break, or text holding a line
+    break."""
+    if not table.schema:
+        raise SchemaError("a table without columns cannot be written as CIF")
+    for name, _ in table.schema:
+        if not name or "," in name or _LINE_BREAK.search(name):
+            raise SchemaError(
+                f"column name {name!r} cannot be written as CIF")
+    for (name, tag), column in zip(table.schema, zip(*table.rows)):
+        if tag == TEXT and _LINE_BREAK.search("".join(filter(None, column))):
+            raise SchemaError(
+                f"text in column {name!r} holds a line break, "
+                f"which CIF cannot write")
+
+
 def write_cif(table):
+    _check_writable(table)
     head = "#schema:" + ",".join(f"{n}:{t}" for n, t in table.schema)
     lines = [head]
     for row in table.rows:
@@ -134,14 +203,69 @@ def write_cif(table):
 
 
 def save_cif(table, path):
+    """Write ``table`` to ``path``, or nothing if ``load_cif`` could not
+    read it back. That includes a null in a one-column table: its line
+    is blank, which ``parse_cif`` skips. ``write_cif`` still writes such
+    a table, as a query's printed result."""
+    if len(table.schema) == 1 and (None,) in table.rows:
+        raise SchemaError(
+            f"a null in {table.schema[0][0]!r}, the only column, cannot be "
+            f"stored as CIF: its line would be blank")
+    text = write_cif(table)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(write_cif(table))
+        f.write(text)
 
 
 class CIFError(SchemaError):
     def __init__(self, message, lineno):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+# A row of a schema matches its columns' field patterns joined by commas.
+# Rows are matched a chunk of lines at a time, joined by "\n", which no
+# field pattern matches, so each match is one whole line.
+_FIELD = {
+    TEXT: r'("[^"\n]*(?:""[^"\n]*)*"|)',  # quoted, or empty for null
+    INT: r'([^",\n]*)',  # unquoted; empty is null
+    REAL: r'([^",\n]*)',
+}
+_CHUNK_LINES = 512  # bounds the matches and columns held at once
+_UNQUOTE = operator.itemgetter(slice(1, -1))
+_UNESCAPE = operator.methodcaller("replace", '""', '"')
+
+
+def _column_values(tag, fields):
+    """One column's values from the fields the row pattern matched; an
+    empty field is null. Raises ValueError where ``int`` or ``float``
+    does."""
+    if tag == TEXT:
+        if "" not in fields:
+            return list(map(_UNESCAPE, map(_UNQUOTE, fields)))
+        return [f[1:-1].replace('""', '"') if f else None for f in fields]
+    convert = int if tag == INT else float
+    if "" not in fields:
+        return list(map(convert, fields))
+    return [convert(f) if f else None for f in fields]
+
+
+def _chunk_rows(pattern, tags, lines):
+    """The rows ``lines`` hold, or None when one of them is no row of
+    the schema whose column tags are ``tags`` and row pattern
+    ``pattern``."""
+    lines = list(filter(None, lines))  # a blank line holds no row
+    if not lines:  # "" would match a one-column row pattern
+        return []
+    found = pattern.findall("\n".join(lines))
+    if len(found) != len(lines):
+        return None
+    # with one group, findall gives each match's text, not a tuple
+    columns = zip(*found) if len(tags) > 1 else [found]
+    try:
+        values = [_column_values(t, c) for t, c in zip(tags, columns)]
+    except ValueError:
+        return None
+    return list(zip(*values))
 
 
 def _split_fields(line, lineno):
@@ -179,8 +303,30 @@ def _split_fields(line, lineno):
         i += 1
 
 
-def parse_cif(text):
-    lines = text.splitlines()
+def _check_row(schema, line, lineno):
+    """Raise the CIFError that makes ``line`` no row of ``schema``, if
+    there is one, reading it a character at a time."""
+    fields = _split_fields(line, lineno)
+    if len(fields) != len(schema):
+        raise CIFError(
+            f"{len(fields)} fields for {len(schema)} columns", lineno
+        )
+    for (kind, raw), (name, tag) in zip(fields, schema):
+        if kind == 'text':
+            if tag != TEXT:
+                raise CIFError(f"quoted value in {tag} column {name!r}", lineno)
+        elif raw == "":
+            continue
+        elif tag == TEXT:
+            raise CIFError(f"unquoted text in column {name!r}", lineno)
+        else:
+            try:
+                int(raw) if tag == INT else float(raw)
+            except ValueError:
+                raise CIFError(f"bad {tag} literal {raw!r}", lineno) from None
+
+
+def _parse_header(lines):
     if not lines or not lines[0].startswith("#schema:"):
         raise CIFError("missing #schema header", 1)
     schema = []
@@ -191,31 +337,26 @@ def parse_cif(text):
         if tag not in TAGS or not name:
             raise CIFError(f"bad schema entry {part!r}", 1)
         schema.append((name, tag))
+    return schema
+
+
+def parse_cif(text):
+    lines = text.splitlines()
+    schema = _parse_header(lines)
+    tags = [tag for _, tag in schema]
+    pattern = re.compile(
+        "^" + ",".join(_FIELD[tag] for tag in tags) + "$", re.MULTILINE)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        fields = _split_fields(line, lineno)
-        if len(fields) != len(schema):
-            raise CIFError(
-                f"{len(fields)} fields for {len(schema)} columns", lineno
-            )
-        row = []
-        for (kind, raw), (name, tag) in zip(fields, schema):
-            if kind == 'text':
-                if tag != TEXT:
-                    raise CIFError(f"quoted value in {tag} column {name!r}", lineno)
-                row.append(raw)
-            elif raw == "":
-                row.append(None)
-            elif tag == TEXT:
-                raise CIFError(f"unquoted text in column {name!r}", lineno)
-            else:
-                try:
-                    row.append(int(raw) if tag == INT else float(raw))
-                except ValueError:
-                    raise CIFError(f"bad {tag} literal {raw!r}", lineno) from None
-        rows.append(tuple(row))
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        found = _chunk_rows(pattern, tags, chunk)
+        if found is None:
+            # line numbers count from 1, so lines[start] is line start + 1
+            for lineno, line in enumerate(chunk, start + 1):
+                if line:
+                    _check_row(schema, line, lineno)
+            raise AssertionError("_check_row passed a refused chunk")
+        rows += found
     try:
         return CanonicalTable(schema, rows)
     except SchemaError as e:

@@ -296,7 +296,8 @@ def _write_entries(directory, entries):
     """Write the manifest of ``entries``; returns its path."""
     def dump(path):
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(entries, fh, indent=2, sort_keys=True)
+            # compact: every snapshot rewrites the whole manifest
+            json.dump(entries, fh, separators=(",", ":"), sort_keys=True)
             fh.write("\n")
 
     path = os.path.join(directory, MANIFEST)

@@ -34,7 +34,7 @@ to the most recent included.
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from urllib.parse import quote, unquote
 
 from .errors import MonitorError
@@ -242,6 +242,9 @@ class MonitorDB:
                 bucket = self._buckets[key] = _Bucket(*key)
             found = self._bucket_of[sig] = (bucket, bucket.add(sig, constants))
         bucket, member = found
+        if record.signature is not bucket.signatures[member]:
+            # one Signature object per signature: the one the index holds
+            record = replace(record, signature=bucket.signatures[member])
         bucket.history[member].append(len(self.records))
         bucket.latest = member
         self.records.append(record)

@@ -212,14 +212,14 @@ class _Decomposer:
         return c.alias
 
     def add_node(self, **kw):
-        """Alias of a new remainder node; a cast of an input already cast
-        the same way reuses the earlier node's alias."""
+        """Alias of a new remainder node, or of the identical one already
+        added: same kind, island, inputs, params and expression (spans
+        aside), so a sub-expression a query repeats runs once per plan."""
         n = RNode(alias=self._ralias(), **kw)
-        if n.kind == "cast":
-            for old in self.nodes:
-                if (old.kind == "cast" and old.inputs == n.inputs
-                        and old.params == n.params):
-                    return old.alias
+        for old in self.nodes:
+            if (old.kind, old.island, old.inputs, old.params, old.expr) == (
+                    n.kind, n.island, n.inputs, n.params, n.expr):
+                return old.alias
         self.nodes.append(n)
         return n.alias
 

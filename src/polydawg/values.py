@@ -15,7 +15,7 @@ REAL = "real"
 TEXT = "text"
 TAGS = (INT, REAL, TEXT)
 
-_PY_FOR_TAG = {INT: int, REAL: float, TEXT: str}
+PY_TYPE = {INT: int, REAL: float, TEXT: str}  # each tag's exact type
 
 
 def tag_of(v):
@@ -39,7 +39,7 @@ def check_value(tag, v):
         raise SchemaError(f"unknown tag {tag!r}")
     if v is None:
         return v
-    if isinstance(v, bool) or not isinstance(v, _PY_FOR_TAG[tag]):
+    if isinstance(v, bool) or not isinstance(v, PY_TYPE[tag]):
         # ints are accepted into real columns and widened
         if tag == REAL and isinstance(v, int) and not isinstance(v, bool):
             return float(v)

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -619,3 +620,28 @@ def test_stray_temporary_files_are_ignored(tmp_path):
     again.restore(str(tmp_path))
     assert again.export("rel", "x") == PATIENTS
     assert not (tmp_path / "manifest.json.tmp").exists()
+
+
+def test_a_snapshot_refusing_an_object_keeps_the_previous_one(tmp_path):
+    # text with a line break cannot be written as CIF; nothing is written
+    _snapshot_dir(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other = default_catalog()
+    other.restore(str(tmp_path))
+    other.load("rel", "bad", CanonicalTable(
+        [("id", "text"), ("note", "text")], [("p1", "two\nlines")]), {})
+    with pytest.raises(SchemaError, match="'note'"):
+        other.snapshot(str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    again = default_catalog()
+    again.restore(str(tmp_path))
+    assert again.directory() == {"patients": "rel", "notes": "kv", "w": "arr"}
+    assert again.export("rel", "patients") == PATIENTS
+
+
+def test_the_manifest_is_written_compactly(tmp_path):
+    # every snapshot rewrites the whole manifest, so its bytes count
+    _snapshot_dir(tmp_path)
+    text = (tmp_path / base.MANIFEST).read_text(encoding="ascii")
+    assert text == json.dumps(json.loads(text), separators=(",", ":"),
+                              sort_keys=True) + "\n"

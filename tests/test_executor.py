@@ -326,3 +326,37 @@ def test_every_plan_result_has_the_validated_root_schema():
             if result.schema != want:
                 mismatches.append((text, plan.id, result.schema, want))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("text, kinds", [
+    ("d4m(matmul(transpose(vitals), transpose(vitals)))",
+     ["transpose", "matmul"]),
+    ("d4m(ewise(transpose(vitals), transpose(vitals), plus))",
+     ["transpose", "ewise"]),
+    # the same kind over the same input with other constants stays apart
+    ("d4m(ewise(select(transpose(vitals), rows='a':'m'), "
+     "select(transpose(vitals), rows='n':'z'), plus))",
+     ["transpose", "select", "select", "ewise"]),
+])
+def test_a_repeated_remainder_node_runs_once_and_agrees_with_the_oracle(
+        text, kinds):
+    system = fresh_system()
+    _, want = oracle.Oracle(system.catalog).query(text)
+    pq = system.plan_query(text)
+    assert [n.kind for n in pq.remainder.nodes] == kinds
+    for plan in pq.plans:
+        assert [s.node.kind for s in plan.steps
+                if isinstance(s, CrossOp)].count("transpose") == 1, plan.id
+        got, _ = system.execute_plan(pq, plan)
+        assert oracle.rows_bag_equal(got.rows, want), plan.id
+
+
+def test_a_run_time_record_shares_the_index_signature():
+    system = fresh_system()
+    text = "relational(SELECT id FROM patients WHERE age > 60)"
+    system.run_training(text)
+    system.run_production(text)
+    records = system.monitor.records
+    assert len(records) == 2
+    assert records[1].signature is system.monitor.signatures()[0]
+    assert records[1].signature is records[0].signature
