@@ -25,6 +25,7 @@ from .canonical import load_cif, write_cif
 from .engines import default_catalog
 from .errors import (
     InternalConsistencyError, PolydawgError, QuerySyntaxError, SchemaError,
+    ValidationError,
 )
 from .executor import System, SystemConfig
 from .island import register_defaults
@@ -163,29 +164,30 @@ def _print_report(report):
         print(f"warning = {w}")
 
 
-def _print_syntax_error(text, err):
-    print(f"error: {err}", file=sys.stderr)
-    if err.span:
-        start, end = err.span
-        print(text, file=sys.stderr)
-        print(" " * start + "^" * max(end - start, 1), file=sys.stderr)
-
-
-def _run_query(system, text, training):
+def _answer(text, run, show):
+    """Exit status of ``show(run())`` for the query ``text``, printing an
+    error instead if ``run`` raises one. The caret under ``text`` marks
+    the span of a syntax or validation error; a later error's span
+    points into native text, so it gets none."""
     try:
-        report = (system.run_training(text) if training
-                  else system.run_production(text))
+        result = run()
     except InternalConsistencyError as e:
         print(f"internal consistency error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except QuerySyntaxError as e:
-        _print_syntax_error(text, e)
-        return EXIT_QUERY_ERROR
     except PolydawgError as e:
         print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, (QuerySyntaxError, ValidationError)) and e.span:
+            start, end = e.span
+            print(text, file=sys.stderr)
+            print(" " * start + "^" * max(end - start, 1), file=sys.stderr)
         return EXIT_QUERY_ERROR
-    _print_report(report)
+    show(result)
     return EXIT_OK
+
+
+def _run_query(system, text, training):
+    run = system.run_training if training else system.run_production
+    return _answer(text, lambda: run(text), _print_report)
 
 
 def cmd_query(system, config, args):
@@ -193,15 +195,7 @@ def cmd_query(system, config, args):
 
 
 def cmd_explain(system, config, args):
-    try:
-        print(system.explain(args.text))
-    except QuerySyntaxError as e:
-        _print_syntax_error(args.text, e)
-        return EXIT_QUERY_ERROR
-    except PolydawgError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_QUERY_ERROR
-    return EXIT_OK
+    return _answer(args.text, lambda: system.explain(args.text), print)
 
 
 def cmd_datagen(system, config, args):

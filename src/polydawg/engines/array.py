@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from .. import sql
 from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
-from ..values import INT, REAL, TEXT, finite, is_numeric_tag
+from ..values import INT, REAL, TEXT, is_numeric_tag
 from .base import Engine
 from .keyvalue import run_assoc_op
-from .relational import compile_predicate
+from .relational import aggregator, compile_predicate
 
 
 @dataclass
@@ -33,19 +33,6 @@ class NDArray:
 def _rows(arr):
     """The array's cells as export rows, in coordinate order."""
     return [coords + attrs for coords, attrs in sorted(arr.cells.items())]
-
-
-def _aggregate(fn, vals):
-    vals = [v for v in vals if v is not None]
-    if fn == "count":
-        return len(vals)
-    if not vals:
-        return None
-    if fn == "sum":
-        return sum(vals)
-    if fn == "avg":
-        return sum(vals) / len(vals)
-    return min(vals) if fn == "min" else max(vals)
 
 
 def array_op(op, params, name, schema, ndims):
@@ -85,14 +72,13 @@ def array_op(op, params, name, schema, ndims):
     bidx = [dim(d) for d in params["by"]]
 
     out_tag = {"count": INT, "avg": REAL}.get(fn, atag)
-    value = finite if out_tag == REAL else (lambda v: v)
+    aggregate = aggregator(fn, out_tag)
 
     def run(rows):
         groups = {}
         for row in rows:
             groups.setdefault(tuple(row[i] for i in bidx), []).append(row[ai])
-        return [gkey + (value(_aggregate(fn, groups[gkey])),)
-                for gkey in sorted(groups)]
+        return [gkey + (aggregate(groups[gkey]),) for gkey in sorted(groups)]
 
     return [(d, INT) for d in params["by"]] + [(fn, out_tag)], run
 

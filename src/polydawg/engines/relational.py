@@ -1,10 +1,11 @@
 """Embedded relational engine with a small SQL dialect.
 
 SELECT/JOIN/WHERE/GROUP BY/ORDER BY/LIMIT over bag-typed relations,
-compiled once per statement (``compile_select``), which validation uses
-too. JOIN is a hash equi-join in which NULL keys never match. ORDER BY
-ties are broken by full-tuple lexicographic order so results are
-deterministic.
+compiled once per statement (``compile_select``), which validation and
+the array engine's FILTER use too. Compiling checks every type: int and
+real compare as numbers, and text against a number is an error. JOIN is
+a hash equi-join in which NULL keys never match. ORDER BY ties are
+broken by full-tuple lexicographic order so results are deterministic.
 """
 
 import operator
@@ -16,7 +17,7 @@ from ..errors import (
     CatalogError, NativeSyntaxError, QuerySyntaxError, SchemaError,
     TypeMismatchError,
 )
-from ..values import INT, REAL, TEXT, compare, finite, row_sort_key
+from ..values import INT, REAL, TEXT, finite, row_sort_key
 from .base import Engine
 
 
@@ -85,9 +86,11 @@ class _Scope:
             if n == col.name and (col.qual is None or col.qual == b)
         ]
         if not hits:
-            raise CatalogError(f"unknown column {sql.pp_expr(col)!r}")
+            raise CatalogError(f"unknown column {sql.pp_expr(col)!r}",
+                               col.span)
         if len(hits) > 1:
-            raise SchemaError(f"ambiguous column {sql.pp_expr(col)!r}")
+            raise SchemaError(f"ambiguous column {sql.pp_expr(col)!r}",
+                              col.span)
         return hits[0]
 
     def tag_at(self, i):
@@ -103,7 +106,8 @@ def _infer_tag(expr, scope):
         lt = _infer_tag(expr.left, scope)
         rt = _infer_tag(expr.right, scope)
         if TEXT in (lt, rt):
-            raise TypeMismatchError(f"arithmetic over text: {sql.pp_expr(expr)}")
+            raise TypeMismatchError(
+                f"arithmetic over text: {sql.pp_expr(expr)}", expr.span)
         if expr.op == "/":
             return REAL
         return INT if lt == rt == INT else REAL
@@ -112,9 +116,10 @@ def _infer_tag(expr, scope):
             return INT
         arg = _infer_tag(expr.arg, scope)
         if expr.fn in ("avg", "sum") and arg == TEXT:
-            raise TypeMismatchError(f"{expr.fn.upper()} over text")
+            raise TypeMismatchError(f"{expr.fn.upper()} over text", expr.span)
         return REAL if expr.fn == "avg" else arg  # sum/min/max keep the tag
-    raise TypeMismatchError(f"not a value expression: {sql.pp_expr(expr)}")
+    raise TypeMismatchError(f"not a value expression: {sql.pp_expr(expr)}",
+                            expr.span)
 
 
 def _getter(idx):
@@ -137,30 +142,19 @@ _CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 
 def _scalar(expr, scope):
-    """``row -> value`` for a scalar expression. Errors that depend on a
-    row (text arithmetic, division by zero, an aggregate outside
-    grouping) are raised by the closure, when a row reaches it."""
+    """``row -> value`` for a scalar expression. Arithmetic over text and
+    an aggregate outside grouping raise here; only division by zero
+    waits for a row, in the closure."""
     if isinstance(expr, sql.Col):
         return operator.itemgetter(scope.resolve(expr))
     if isinstance(expr, sql.Lit):
         value = expr.value
         return lambda row: value
     if isinstance(expr, sql.Agg):
-        def outside_grouping(row):
-            raise SchemaError("aggregate used outside a grouping context")
-        return outside_grouping
-    if not isinstance(expr, sql.Bin):
-        raise TypeMismatchError(f"not a value expression: {sql.pp_expr(expr)}")
+        raise SchemaError("aggregate used outside a grouping context",
+                          expr.span)
+    _infer_tag(expr, scope)  # raises for arithmetic over text
     left, right = _scalar(expr.left, scope), _scalar(expr.right, scope)
-    try:
-        _infer_tag(expr, scope)
-    except TypeMismatchError as e:
-        message = str(e)
-
-        def text_operand(row):  # once the operands evaluate, even to null
-            left(row), right(row)
-            raise TypeMismatchError(message)
-        return text_operand
     op = _ARITH[expr.op]
 
     def arith(row):
@@ -171,25 +165,28 @@ def _scalar(expr, scope):
     return arith
 
 
+def _check_comparable(lt, rt, span):
+    """Raise unless values of tags ``lt`` and ``rt`` compare: text only
+    with text, and int with real as numbers."""
+    if (lt == TEXT) != (rt == TEXT):
+        raise TypeMismatchError(f"cross-tag comparison: {lt} vs {rt}", span)
+
+
 def _pred(pred, scope):
-    """``row -> bool`` for a WHERE or FILTER predicate. Null sorts below
-    every value and equals itself."""
+    """``row -> bool`` for a WHERE or FILTER predicate, whose comparisons
+    are checked here. Null sorts below every value and equals itself."""
     if isinstance(pred, sql.Cmp):
         left, right = _scalar(pred.left, scope), _scalar(pred.right, scope)
+        _check_comparable(_infer_tag(pred.left, scope),
+                          _infer_tag(pred.right, scope), pred.span)
         test = _CMP[pred.op]
-        try:
-            same = _infer_tag(pred.left, scope) == _infer_tag(pred.right, scope)
-        except TypeMismatchError:  # the operand raises before any comparison
-            same = True
-        if not same:  # compare() raises once both sides hold a value
-            return lambda row: test(compare(left(row), right(row)), 0)
 
-        def same_tag(row):
+        def compare(row):
             a, b = left(row), right(row)
             if a is None or b is None:
                 return test(a is not None, b is not None)
             return test(a, b)
-        return same_tag
+        return compare
     if isinstance(pred, sql.Logic):
         left, right = _pred(pred.left, scope), _pred(pred.right, scope)
         if pred.op == "and":
@@ -198,7 +195,7 @@ def _pred(pred, scope):
     if isinstance(pred, sql.Not):
         inner = _pred(pred.expr, scope)
         return lambda row: not inner(row)
-    raise TypeMismatchError("WHERE requires a predicate")
+    raise TypeMismatchError("WHERE requires a predicate", pred.span)
 
 
 def compile_predicate(pred, binding, schema):
@@ -208,26 +205,22 @@ def compile_predicate(pred, binding, schema):
 
 def _join(stmt, scope, n_left):
     """``(left rows, right rows) -> joined rows`` for ``JOIN ... ON a = b``,
-    in left-major order. NULL keys never match, and keys of different
-    tags raise once a non-null key meets another."""
+    in left-major order. NULL keys never match, and an int key matches a
+    real one of equal value; a text key against a number raises here."""
     _, lcol, rcol = stmt.join
     a, b = scope.resolve(lcol), scope.resolve(rcol)
-    ta, tb = scope.tag_at(a), scope.tag_at(b)
+    _check_comparable(scope.tag_at(a), scope.tag_at(b),
+                      (lcol.span[0], rcol.span[1]))
     if (a < n_left) == (b < n_left):  # both ON columns name one table
         def on(row):
             x, y = row[a], row[b]
-            return x is not None and y is not None and compare(x, y) == 0
+            return x is not None and x == y
         return lambda left_rows, right_rows: [
             row for row in (lrow + rrow for lrow in left_rows
                             for rrow in right_rows) if on(row)]
     lkey, rkey = (a, b - n_left) if a < n_left else (b, a - n_left)
 
     def hash_join(left_rows, right_rows):
-        if ta != tb:
-            if (any(r[lkey] is not None for r in left_rows)
-                    and any(r[rkey] is not None for r in right_rows)):
-                raise TypeMismatchError(f"cross-tag comparison: {ta} vs {tb}")
-            return []
         index = {}
         for r in right_rows:
             if r[rkey] is not None:
@@ -257,20 +250,28 @@ _AGG_FNS = {"count": len, "sum": sum, "min": min, "max": max,
             "avg": lambda vals: sum(vals) / len(vals)}
 
 
+def aggregator(fn, tag):
+    """``values -> value`` of the aggregate ``fn`` whose result has
+    ``tag``. Nulls are dropped, and no values give null except for COUNT.
+    A real result is checked to be finite, as a sum or its operands'
+    arithmetic may have overflowed."""
+    reduce, count = _AGG_FNS[fn], fn == "count"
+
+    def aggregate(values):
+        vals = [v for v in values if v is not None]
+        return reduce(vals) if vals or count else None
+    if tag == REAL:
+        return lambda values: finite(aggregate(values))
+    return aggregate
+
+
 def _aggregate(agg, scope):
-    """``(group key, group rows) -> value`` for one aggregate item. A real
-    result is checked to be finite, as a sum or its operands' arithmetic
-    may have overflowed."""
+    """``(group key, group rows) -> value`` for one aggregate item."""
     if agg.fn == "count" and agg.arg is None:
         return lambda key, rows: len(rows)
-    arg, fn, count = _scalar(agg.arg, scope), _AGG_FNS[agg.fn], agg.fn == "count"
-    if _infer_tag(agg, scope) == REAL:
-        fn = lambda vals, fn=fn: finite(fn(vals))  # noqa: E731
-
-    def aggregate(key, rows):
-        vals = [v for v in map(arg, rows) if v is not None]
-        return fn(vals) if vals or count else None
-    return aggregate
+    arg = _scalar(agg.arg, scope)
+    aggregate = aggregator(agg.fn, _infer_tag(agg, scope))
+    return lambda key, rows: aggregate(map(arg, rows))
 
 
 def _computed(fn, expr, tag):

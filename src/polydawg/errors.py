@@ -2,7 +2,12 @@
 
 
 class PolydawgError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
+    ``span`` is the (start, end) of the offending text, or None."""
+
+    def __init__(self, message, span=None):
+        super().__init__(message)
+        self.span = span
 
 
 class CatalogError(PolydawgError):
@@ -25,8 +30,7 @@ class QuerySyntaxError(PolydawgError):
     """Polystore query syntax error, carries a source span and expectations."""
 
     def __init__(self, message, span, expected=()):
-        super().__init__(message)
-        self.span = span
+        super().__init__(message, span)
         self.expected = frozenset(expected)
 
 

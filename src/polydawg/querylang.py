@@ -529,21 +529,22 @@ def validate(ast, registry, catalog):
 
 def _statically(fn, *args):
     """``fn(*args)``, reporting the errors an engine or cast would raise
-    on this input as validation errors."""
+    on this input as validation errors, with the span of the offending
+    node."""
     try:
         return fn(*args)
     except (CastError, CatalogError, SchemaError, TypeMismatchError) as e:
-        raise ValidationError(str(e)) from e
+        raise ValidationError(str(e), e.span) from e
 
 
 def _resolve_object(name, island, res, span_owner):
     engine_id = res.catalog.owner(name)
     if engine_id is None:
-        raise ValidationError(f"unknown object {name!r}")
+        raise ValidationError(f"unknown object {name!r}", span_owner.span)
     if engine_id not in island.members:
         raise ValidationError(
             f"object {name!r} lives on engine {engine_id!r}, not a member "
-            f"of island {island.name!r}; cast it in"
+            f"of island {island.name!r}; cast it in", span_owner.span
         )
     engine = res.catalog.engine(engine_id)
     info = LeafInfo("object", engine.model, engine.schema_of(name),

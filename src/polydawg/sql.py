@@ -303,9 +303,9 @@ def _parse_factor(cur):
         cur.next()
         cur.expect_op("(")
         if tok.lower == "count" and cur.at_op("*"):
-            star = cur.next()
-            cur.expect_op(")")
-            return Agg("count", None, span=(tok.start, star.end + 1))
+            cur.next()
+            end = cur.expect_op(")")
+            return Agg("count", None, span=(tok.start, end.end))
         arg = parse_expr(cur)
         end = cur.expect_op(")")
         return Agg(tok.lower, arg, span=(tok.start, end.end))

@@ -2,13 +2,14 @@
 
 A value is one of: 64-bit int, finite float, str, or None (null).
 Tags are the strings "int", "real", "text". Null carries no tag and
-compares less than everything; any other cross-tag comparison is an
-error.
+compares less than everything. Int and real compare as numbers; text
+against a number is a validation error, reported when a statement
+compiles, so no comparison of values ever meets one.
 """
 
 import math
 
-from .errors import SchemaError, TypeMismatchError
+from .errors import SchemaError
 
 INT = "int"
 REAL = "real"
@@ -16,21 +17,6 @@ TEXT = "text"
 TAGS = (INT, REAL, TEXT)
 
 PY_TYPE = {INT: int, REAL: float, TEXT: str}  # each tag's exact type
-
-
-def tag_of(v):
-    """Tag of a non-null value, or None for null."""
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        raise SchemaError("bool is not a storable value")
-    if isinstance(v, int):
-        return INT
-    if isinstance(v, float):
-        return REAL
-    if isinstance(v, str):
-        return TEXT
-    raise SchemaError(f"unstorable value of type {type(v).__name__}")
 
 
 def check_value(tag, v):
@@ -56,30 +42,10 @@ def finite(v):
     return v
 
 
-def compare(a, b):
-    """Total order: null < everything; same-tag values use native order.
-
-    Cross-tag comparison between non-null values raises.
-    """
-    if a is None and b is None:
-        return 0
-    if a is None:
-        return -1
-    if b is None:
-        return 1
-    ta, tb = tag_of(a), tag_of(b)
-    if ta != tb:
-        raise TypeMismatchError(f"cross-tag comparison: {ta} vs {tb}")
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def row_sort_key(row):
-    """Sort key giving ``compare``'s order, column by column, to rows whose
-    columns each hold one tag (as every CanonicalTable column does)."""
+    """Sort key for rows whose columns each hold one tag (as every
+    CanonicalTable column does): column by column, null below every value
+    and values in their native order."""
     return tuple([(v is not None, v) for v in row])
 
 

@@ -225,3 +225,95 @@ def _q_cast_into_relational(rng):
     inner = _d4m_expr(rng, itertools.count())
     return (f"relational(SELECT r, v FROM cast(d4m({inner}), relational) t "
             "ORDER BY r LIMIT 25)")
+
+
+# --- ill-typed predicates ---------------------------------------------------
+
+# (query with one "{}" slot for a predicate, text operands, numeric
+# operands), each over standard_catalog objects
+_PREDICATE_SITES = [
+    ("relational(SELECT id FROM patients WHERE {})", ["id", "sex"], ["age"]),
+    ("relational(SELECT drug FROM meds WHERE {} ORDER BY drug)",
+     ["patient_id", "drug"], ["dose"]),
+    ("relational(SELECT p.id FROM patients p JOIN meds m "
+     "ON p.id = m.patient_id WHERE {})", ["p.sex", "m.drug"],
+     ["p.age", "m.dose"]),
+    ("relational(SELECT r FROM cast(d4m(matmul(dose_rc, vitals)), "
+     "relational) t WHERE {})", ["r", "c"], ["v"]),
+    ("d4m(transpose(cast(relational(SELECT patient_id, dose FROM meds "
+     "WHERE {}), d4m, key=patient_id)))", ["drug"], ["dose"]),
+    ("array(filter(waveform, {}))", [], ["patient", "t", "v"]),
+    ("array(filter(dosemat, {}))", [], ["r", "c", "v"]),
+    ("array(filter(cast(text(scan(notes)), array), {}))", ["v"], ["r", "c"]),
+]
+# (query with one "{}" slot for the ON condition, text and numeric columns)
+_JOIN_SITES = [
+    ("relational(SELECT p.id FROM patients p JOIN meds m ON {} "
+     "WHERE p.age > 30)", ["p.id", "p.sex", "m.patient_id", "m.drug"],
+     ["p.age", "m.dose"]),
+    ("relational(SELECT p.id FROM patients p JOIN "
+     "cast(d4m(matmul(dose_rc, vitals)), relational) t ON {})",
+     ["p.id", "t.r", "t.c"], ["p.age", "t.v"]),
+]
+_CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+def _ill_typed_predicate(rng, texts, numbers):
+    """(before, fragment, after, message): a predicate ``before + fragment
+    + after`` whose one type error is ``fragment``."""
+    text = rng.choice(texts + [f"'{random_word(rng)}'"])
+    number = rng.choice(numbers + [str(rng.randint(0, 99)),
+                                   f"{rng.uniform(0, 99):.2f}"])
+    op = rng.choice(_CMP_OPS)
+    kind = rng.choice(["compare", "arithmetic", "aggregate"])
+    if kind == "compare":
+        if rng.random() < 0.3:
+            number = f"{number} {rng.choice('+-*/')} {rng.randint(1, 9)}"
+        sides = [text, number]
+        rng.shuffle(sides)
+        return "", f"{sides[0]} {op} {sides[1]}", "", "cross-tag comparison"
+    if kind == "arithmetic":
+        if text in texts and rng.random() < 0.3:
+            fragment = f"-{text}"
+        else:
+            sides = [text, number]
+            rng.shuffle(sides)
+            fragment = f"{sides[0]} {rng.choice('+-*/')} {sides[1]}"
+        message = "arithmetic over text"
+    else:
+        fn = rng.choice(["count", "sum", "avg", "min", "max"])
+        arg = "*" if fn == "count" and rng.random() < 0.5 else \
+            rng.choice(texts + numbers)
+        fragment = f"{fn.upper()}({arg})"
+        message = "aggregate used outside a grouping context"
+    other = rng.choice(numbers)
+    if rng.random() < 0.5:
+        return "", fragment, f" {op} {other}", message
+    return f"{other} {op} ", fragment, "", message
+
+
+def ill_typed_query(rng):
+    """(query, span, message): a query over standard_catalog objects with
+    one type error in a WHERE, FILTER or JOIN ON, at ``span`` of the
+    query text, and the start of the message it fails with. The errors
+    are a comparison of text with a number, arithmetic over text and an
+    aggregate outside grouping."""
+    if rng.random() < 0.2:
+        site, texts, numbers = rng.choice(_JOIN_SITES)
+        sides = [rng.choice(texts), rng.choice(numbers)]
+        rng.shuffle(sides)
+        before, fragment, after = "", f"{sides[0]} = {sides[1]}", ""
+        message = "cross-tag comparison"
+    else:
+        site, texts, numbers = rng.choice(_PREDICATE_SITES)
+        before, fragment, after, message = _ill_typed_predicate(
+            rng, texts, numbers)
+        good = f"{rng.choice(numbers)} >= 0"
+        outer, outer_after = rng.choice([
+            ("", ""), ("", " AND " + good), (good + " OR ", ""),
+            ("NOT ", ""), (f"({good} AND ", ")")])
+        before, after = outer + before, after + outer_after
+    site_before, site_after = site.split("{}")
+    start = len(site_before) + len(before)
+    return (site_before + before + fragment + after + site_after,
+            (start, start + len(fragment)), message)

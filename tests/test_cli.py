@@ -321,3 +321,27 @@ def test_a_load_that_dies_before_the_manifest_keeps_the_old_snapshot(
         assert code == 0, err
     code, _, err = run(["query", "relational(SELECT k FROM x)"], capsys)
     assert code == 2 and "unknown object 'x'" in err
+
+
+def test_validation_errors_print_carets_and_run_time_errors_do_not(
+        workspace, capsys):
+    seed_dataset(workspace, capsys)
+    text = "relational(SELECT id FROM patients WHERE age > 'x')"
+    caret = " " * text.index("age") + "^" * len("age > 'x'")
+    for args in (["query", text], ["query", "--training", text],
+                 ["explain", text]):
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: cross-tag comparison: int vs text", text, caret]
+    text = "text(grep(nothere, 'x'))"
+    code, _, err = run(["query", text], capsys)
+    assert code == 2 and err.splitlines() == [
+        "error: unknown object 'nothere'", text, "          ^^^^^^^"]
+    # division by zero waits for a row, and a run-time error's span would
+    # point into native text, so it prints no caret
+    code, out, err = run(
+        ["query", "relational(SELECT id FROM patients WHERE age / 0 > 1)"],
+        capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "division by zero" in err

@@ -195,34 +195,47 @@ def test_relational_join_never_matches_null_keys(catalog):
     assert catalog.execute_native("rel", query).rows == want == [(1, 10)]
 
 
-def test_relational_join_tag_clash_raises_only_when_keys_meet(catalog):
+def test_relational_join_tag_clash_raises_before_any_row(catalog):
     for name, tag, rows in [("i", "int", [(1,), (None,)]),
                             ("t", "text", [("1",), (None,)]),
                             ("n", "text", [(None,)]),
-                            ("e", "text", [])]:
+                            ("e", "text", []),
+                            ("r", "real", [(1.0,), (2.5,), (None,)])]:
         catalog.load("rel", name, CanonicalTable([("j", tag)], rows), {})
-    for on in ("i.j = t.j", "t.j = i.j"):
-        with pytest.raises(TypeMismatchError):
-            catalog.execute_native("rel", f"SELECT * FROM i JOIN t ON {on}")
-    # an empty side, or a side whose keys are all NULL, never compares
-    for other in ("e", "n"):
+    # text against a number raises as the statement compiles, even when a
+    # side is empty or its keys are all NULL
+    for other in ("t", "n", "e"):
         for query in (f"SELECT * FROM i JOIN {other} ON i.j = {other}.j",
                       f"SELECT * FROM {other} JOIN i ON i.j = {other}.j"):
-            assert catalog.execute_native("rel", query).rows == []
+            with pytest.raises(TypeMismatchError,
+                               match="cross-tag comparison"):
+                catalog.execute_native("rel", query)
+    # int and real keys match as numbers, and NULL keys never match
+    for query in ("SELECT * FROM i JOIN r ON i.j = r.j",
+                  "SELECT * FROM i JOIN r ON r.j = i.j"):
+        assert catalog.execute_native("rel", query).rows == [(1, 1.0)]
 
 
 def test_relational_row_errors_wait_for_a_row(catalog):
     catalog.load("rel", "patients", PATIENTS, {"key": ["id"]})
     catalog.load("rel", "nobody", CanonicalTable(PATIENTS.schema, []), {})
-    for where, error in [("age > 'x'", TypeMismatchError),
-                         ("age / 0 > 1", TypeMismatchError),
-                         ("id + 1 > 1", TypeMismatchError),
-                         ("COUNT(*) > 1", SchemaError)]:
-        assert catalog.execute_native(
-            "rel", f"SELECT id FROM nobody WHERE {where}").rows == []
-        with pytest.raises(error):
-            catalog.execute_native(
-                "rel", f"SELECT id FROM patients WHERE {where}")
+    # division by zero depends on the values, so it waits for a row
+    assert catalog.execute_native(
+        "rel", "SELECT id FROM nobody WHERE age / 0 > 1").rows == []
+    with pytest.raises(TypeMismatchError, match="division by zero"):
+        catalog.execute_native(
+            "rel", "SELECT id FROM patients WHERE age / 0 > 1")
+    # type errors do not: they raise as the statement compiles
+    for where, error, message in [
+        ("age > 'x'", TypeMismatchError, "cross-tag comparison: int vs text"),
+        ("id + 1 > 1", TypeMismatchError, "arithmetic over text: id + 1"),
+        ("COUNT(*) > 1", SchemaError,
+         "aggregate used outside a grouping context"),
+    ]:
+        for table in ("nobody", "patients"):
+            with pytest.raises(error, match=re.escape(message)):
+                catalog.execute_native(
+                    "rel", f"SELECT id FROM {table} WHERE {where}")
 
 
 def test_relational_statement_errors_fire_before_any_row(catalog):

@@ -1,4 +1,5 @@
-"""Import hygiene for the package: no module-level import goes unused.
+"""Hygiene for the package: no module-level import goes unused, and every
+module-level function has a caller outside its own body.
 
 No linter ships with the toolchain, so this reads each module's syntax
 tree with the standard library instead.
@@ -10,6 +11,11 @@ import pathlib
 import polydawg
 
 PACKAGE = pathlib.Path(next(iter(polydawg.__path__)))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# Where a function's callers may live. The acceptance suite is the
+# system's fixed interface, so a function it calls is not test-only.
+CALLERS = [ROOT / "src", ROOT / "perfbench",
+           ROOT / "tests" / "test_acceptance.py"]
 
 
 def _bound_names(node):
@@ -57,3 +63,54 @@ def test_unused_import_detection():
               "from e import f\n__all__ = ['f']\n"
               "def g():\n    import sys\n    return d\n")
     assert unused_imports(source) == [("os", 2), ("os", 3), ("c", 4)]
+
+
+def _referenced(tree):
+    """Names a module refers to, leaving out each module-level function's
+    references to itself."""
+    names = set()
+    for node in tree.body:
+        inner = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(node)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner.discard(node.name)
+        names |= inner
+    return names
+
+
+def uncalled_functions(modules, callers):
+    """(module, name) of each module-level function defined in
+    ``modules`` (``{module: source}``) that no source in ``callers``
+    refers to outside the function's own body."""
+    used = set()
+    for source in callers:
+        used |= _referenced(ast.parse(source))
+    return [
+        (module, node.name)
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in used
+    ]
+
+
+def test_every_module_level_function_has_a_caller():
+    modules = {str(path.relative_to(PACKAGE)): path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    callers = [path.read_text() for root in CALLERS
+               for path in ([root] if root.is_file()
+                            else sorted(root.rglob("*.py")))]
+    assert uncalled_functions(modules, callers) == []
+
+
+def test_uncalled_function_detection():
+    module = ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def dead():\n    return used()\n"
+              "class C:\n    def method(self):\n        return self.dead\n")
+    caller = "import m\nm.C\n"
+    assert uncalled_functions({"m": module}, [module, caller]) == [
+        ("m", "recursive")]
+    assert uncalled_functions({"m": module}, [caller]) == [
+        ("m", "used"), ("m", "recursive"), ("m", "dead")]

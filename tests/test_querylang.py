@@ -180,8 +180,10 @@ def test_validate_reports_statement_errors_like_the_engine(env):
             check(env, f"relational({body})")
         with pytest.raises(CatalogError, match=re.escape(message)):
             catalog.execute_native("rel", body)
-    # errors that depend on values still wait for a row
-    check(env, "relational(SELECT id FROM patients WHERE age > 'x')")
+    # so are type errors, which need no row
+    with pytest.raises(ValidationError,
+                       match="cross-tag comparison: int vs text"):
+        check(env, "relational(SELECT id FROM patients WHERE age > 'x')")
 
 
 NOTES_AS_ARRAY = "array(filter(cast(text(scan(notes)), array), r >= 0))"

@@ -3,9 +3,42 @@ import random
 import pytest
 
 from polydawg.errors import SchemaError, TypeMismatchError
-from polydawg.values import (
-    INT, REAL, TEXT, check_value, compare, row_sort_key, tag_of,
-)
+from polydawg.values import INT, REAL, TEXT, check_value, row_sort_key
+
+
+def tag_of(v):
+    """Tag of a non-null value, or None for null."""
+    if v is None:
+        return None
+    if isinstance(v, bool):
+        raise SchemaError("bool is not a storable value")
+    if isinstance(v, int):
+        return INT
+    if isinstance(v, float):
+        return REAL
+    if isinstance(v, str):
+        return TEXT
+    raise SchemaError(f"unstorable value of type {type(v).__name__}")
+
+
+def compare(a, b):
+    """The reference order ``row_sort_key`` gives a column: null below
+    everything, values of one tag in native order. Values of two tags
+    have no place in one column, so comparing them raises."""
+    if a is None and b is None:
+        return 0
+    if a is None:
+        return -1
+    if b is None:
+        return 1
+    ta, tb = tag_of(a), tag_of(b)
+    if ta != tb:
+        raise TypeMismatchError(f"cross-tag comparison: {ta} vs {tb}")
+    if a < b:
+        return -1
+    if a > b:
+        return 1
+    return 0
 
 
 def test_tag_of():
