@@ -2,16 +2,18 @@
 
 Cells live in a map from index-vector to attribute tuple; empty cells
 are simply absent. Objects may carry per-dimension key maps (sorted
-distinct string keys whose ranks are the coordinates), which is how
-associative arrays are encoded here; MATMUL/EWISE use those maps to
-align keys and emit triple tables.
+distinct string keys whose ranks are the coordinates, or None for a
+dimension keyed by its coordinates), which is how associative arrays are
+encoded here; MATMUL/EWISE take their keys through migrator.assoc_entries.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .. import sql
 from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
+from ..migrator import assoc_entries
 from ..values import INT, REAL, TEXT, is_numeric_tag
 from .base import Engine
 from .keyvalue import run_assoc_op
@@ -230,13 +232,6 @@ class ArrayEngine(Engine):
             )
         if not is_numeric_tag(arr.attrs[0][1]):
             raise TypeMismatchError(f"{opname} requires a numeric attribute")
-        maps = arr.dim_maps or [None, None]
-        out = {}
-        for (i, j), (v,) in arr.cells.items():
-            if v is None:  # the one non-numeric value a cell may hold
-                raise TypeMismatchError(
-                    f"{opname} over a null cell of {name!r}")
-            rkey = maps[0][i] if maps[0] is not None else str(i)
-            ckey = maps[1][j] if maps[1] is not None else str(j)
-            out[(rkey, ckey)] = v
-        return out, arr.attrs[0][1]
+        values = map(itemgetter(0), arr.cells.values())
+        return (assoc_entries(zip(arr.cells, values), arr.dim_maps),
+                arr.attrs[0][1])

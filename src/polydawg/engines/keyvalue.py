@@ -75,7 +75,8 @@ def assoc_ewise(a_entries, b_entries, op="plus"):
     return out
 
 
-def _result_tag(a_tag, b_tag):
+def result_tag(a_tag, b_tag):
+    """Value tag of a MATMUL or EWISE result, for engines and validation."""
     if a_tag == b_tag:
         return a_tag
     if is_numeric_tag(a_tag) and is_numeric_tag(b_tag):
@@ -87,7 +88,9 @@ def run_assoc_op(verb, cur, operand):
     """Parse and run ``MATMUL a b [SEMIRING x.y]`` or ``EWISE a b op``
     after its verb. ``operand(name, opname)`` returns an object's
     (entries, value tag), raising if the object cannot take part in the
-    op; errors come in the order parse, operand, semiring/op name."""
+    op. Entries hold no null: an array's null cell is no entry, as in
+    every cast into the associative model. Errors come in the order
+    parse, operand, semiring/op name."""
     a = cur.expect_ident("object name").text
     b = cur.expect_ident("object name").text
     if verb == "matmul":
@@ -104,7 +107,7 @@ def run_assoc_op(verb, cur, operand):
     opname = verb.upper()
     (ae, atag), (be, btag) = operand(a, opname), operand(b, opname)
     run = assoc_matmul if verb == "matmul" else assoc_ewise
-    entries, tag = run(ae, be, how), _result_tag(atag, btag)
+    entries, tag = run(ae, be, how), result_tag(atag, btag)
     if tag != atag or tag != btag:  # int meets real: every value is real
         entries = {k: float(v) for k, v in entries.items()}
     if tag == REAL:

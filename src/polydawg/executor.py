@@ -55,29 +55,19 @@ class VirtualClock:
 class StepDelayModel:
     """Per-step delays (ms) applied under a virtual clock.
 
-    ``cross_op_site_ms`` maps an engine id to the delay of cross-engine
-    operators executed there, which lets tests shape plan runtimes.
+    ``cross_op_kind_site_ms`` maps a (node kind, engine id) pair to the
+    delay of that cross-engine operator executed there, which lets tests
+    shape plan runtimes; every other step takes ``default_ms``.
     """
 
-    def __init__(self, default_ms=1.0, container_ms=None, migrate_ms=None,
-                 cross_op_site_ms=None, cross_op_kind_site_ms=None):
+    def __init__(self, default_ms=1.0, cross_op_kind_site_ms=None):
         self.default_ms = default_ms
-        self.container_ms = container_ms
-        self.migrate_ms = migrate_ms
-        self.cross_op_site_ms = dict(cross_op_site_ms or {})
         self.cross_op_kind_site_ms = dict(cross_op_kind_site_ms or {})
 
     def delay_ms(self, step):
-        if isinstance(step, ExecuteContainer) and self.container_ms is not None:
-            return self.container_ms
-        if isinstance(step, Migrate) and self.migrate_ms is not None:
-            return self.migrate_ms
         if isinstance(step, CrossOp):
-            key = (step.node.kind, step.site)
-            if key in self.cross_op_kind_site_ms:
-                return self.cross_op_kind_site_ms[key]
-            if step.site in self.cross_op_site_ms:
-                return self.cross_op_site_ms[step.site]
+            return self.cross_op_kind_site_ms.get(
+                (step.node.kind, step.site), self.default_ms)
         return self.default_ms
 
 

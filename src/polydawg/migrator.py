@@ -3,8 +3,9 @@ and array data models, and move objects between engines.
 
 All conversions route through CanonicalTable, so three models need six
 rules rather than per-engine-pair code. Every rule returns the converted
-table plus an inverse spec when the conversion is lossless; dropping
-null attribute values on relation->assoc is the single lossy edge.
+table plus an inverse spec when the conversion is lossless. An
+associative array holds no null, so a cast into the associative model
+drops every null value: a null is no entry on every path.
 
 ``chain_for`` is the one place that picks which rules a cast chains:
 every pair of models is one direct rule except relational->array, which
@@ -13,6 +14,7 @@ dimension columns the caller does not have.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .canonical import CanonicalTable
 from .errors import CastError
@@ -30,7 +32,7 @@ class CastSpec:
     target_model: str
     key: object = None          # relation->assoc: key column names
     dim_cols: object = None     # relation->array / array source: dim column names
-    dim_maps: object = None     # per-dim sorted key lists (assoc<->array)
+    dim_maps: object = None     # per-dim sorted key lists or None (assoc<->array)
     pivot: object = None        # assoc->relation: (key_schema, attr_schema)
     column_order: object = None # array->relation: original column names
 
@@ -39,10 +41,10 @@ class CastSpec:
             raise CastError(
                 f"unknown model pair {self.source_model}/{self.target_model}"
             )
-        if self.dim_maps is not None:
-            for keys in self.dim_maps:
-                if len(keys) != len(set(keys)) or list(keys) != sorted(keys):
-                    raise CastError("dimension maps must be sorted and duplicate-free")
+        for keys in self.dim_maps or ():
+            if keys is not None and (
+                    len(keys) != len(set(keys)) or list(keys) != sorted(keys)):
+                raise CastError("dimension maps must be sorted and duplicate-free")
 
 
 def _escape_key_part(s):
@@ -94,13 +96,12 @@ def _is_triple_schema(schema):
 
 
 def _relation_to_assoc(table, spec):
-    if not spec.key:
-        raise CastError("relation->assoc cast requires 'key'")
-    key = tuple(spec.key)
+    key = tuple(spec.key or ())
     names = table.column_names
-    # a triple-encoded relation keyed by its row column casts by
-    # reinterpretation: (r, c, v) rows become (r, c) -> v entries
-    if names == ["r", "c", "v"] and key == ("r",) and _is_triple_schema(table.schema):
+    # a triple-encoded relation, unkeyed or keyed by its row column, casts
+    # by reinterpretation: (r, c, v) rows become (r, c) -> v entries
+    if names == ["r", "c", "v"] and key in ((), ("r",)) \
+            and _is_triple_schema(table.schema):
         entries = {}
         for r, c, v in table.rows:
             if v is None:
@@ -113,6 +114,9 @@ def _relation_to_assoc(table, spec):
             [(r, c, v) for (r, c), v in sorted(entries.items())],
         )
         return out, CastSpec(KEYVALUE, RELATIONAL)
+    if not key:
+        raise CastError("relation->assoc cast requires 'key' or a "
+                        "triple-encoded relation (r:text, c:text, v)")
     for k in key:
         if k not in names:
             raise CastError(f"key column {k!r} not in source schema")
@@ -263,39 +267,47 @@ def _assoc_to_array(table, spec):
     return out, CastSpec(ARRAY, KEYVALUE, dim_maps=[row_map, col_map])
 
 
+def assoc_entries(cells, dim_maps=None):
+    """``{(row key, col key): value}`` of the 2-D array ``cells``, an
+    iterable of ``((i, j), value)``. A key is the coordinate's entry in
+    its dimension's map, or the coordinate in decimal where that
+    dimension has no map; a null value is no entry."""
+    rmap, cmap = dim_maps or (None, None)
+    out = {}
+    for (i, j), v in cells:
+        if v is not None:
+            try:
+                out[(str(i) if rmap is None else rmap[i],
+                     str(j) if cmap is None else cmap[j])] = v
+            except IndexError:
+                raise CastError(
+                    f"coordinate ({i}, {j}) outside dimension maps") from None
+    return out
+
+
 def _array_to_assoc(table, spec):
     names = table.column_names
     dim_cols = tuple(spec.dim_cols or names[:2])
     if len(dim_cols) != 2:
         raise CastError("array->assoc requires exactly 2 dimensions")
-    didx = [table.column_index(d) for d in dim_cols]
-    aidx = [i for i in range(len(names)) if i not in didx]
+    di, dj = [table.column_index(d) for d in dim_cols]
+    aidx = [i for i in range(len(names)) if i not in (di, dj)]
     if len(aidx) != 1:
         raise CastError("array->assoc requires exactly 1 attribute")
-    if not is_numeric_tag(table.schema[aidx[0]][1]):
+    (ai,) = aidx
+    if not is_numeric_tag(table.schema[ai][1]):
         raise CastError("array->assoc requires a numeric attribute")
     maps = spec.dim_maps
-    out_rows = []
-    for row in table.rows:
-        i, j = row[didx[0]], row[didx[1]]
-        v = row[aidx[0]]
-        if v is None:
-            continue
-        if maps is not None:
-            try:
-                rkey, ckey = maps[0][i], maps[1][j]
-            except IndexError:
-                raise CastError(f"coordinate ({i}, {j}) outside dimension maps") from None
-        else:
-            rkey, ckey = str(i), str(j)
-        out_rows.append((rkey, ckey, v))
+    rows = table.rows
+    entries = assoc_entries(
+        zip(map(itemgetter(di, dj), rows), map(itemgetter(ai), rows)), maps)
     out = CanonicalTable.trusted(
-        [("row", TEXT), ("col", TEXT), ("val", table.schema[aidx[0]][1])],
-        sorted(out_rows),
+        [("row", TEXT), ("col", TEXT), ("val", table.schema[ai][1])],
+        sorted([(r, c, v) for (r, c), v in entries.items()]),
     )
     inverse = None
-    if maps is not None:
-        inverse = CastSpec(KEYVALUE, ARRAY, dim_maps=[list(maps[0]), list(maps[1])])
+    if maps is not None and None not in maps:
+        inverse = CastSpec(KEYVALUE, ARRAY, dim_maps=[list(m) for m in maps])
     return out, inverse
 
 
@@ -323,20 +335,19 @@ def chain_for(source_model, target_model, key=None, dim_cols=None,
               dim_maps=None):
     """Cast specs converting source_model to target_model (may be empty).
 
-    ``key`` feeds a relational source (default ('r',): triple-encoded data
-    casts by reinterpretation); ``dim_cols`` and ``dim_maps`` describe an
-    array source.
+    ``key`` feeds a relational source (without one, only triple-encoded
+    data casts, by reinterpretation); ``dim_cols`` and ``dim_maps``
+    describe an array source.
     """
     if source_model == target_model:
         return []
     if (source_model, target_model) == (RELATIONAL, ARRAY):
         return (chain_for(RELATIONAL, KEYVALUE, key)
                 + chain_for(KEYVALUE, ARRAY))
-    if source_model == RELATIONAL:
-        key = tuple(key) if key else ("r",)
-    else:
+    if source_model != RELATIONAL:
         key = None
-    return [CastSpec(source_model, target_model, key=key,
+    return [CastSpec(source_model, target_model,
+                     key=tuple(key) if key else None,
                      dim_cols=tuple(dim_cols) if dim_cols else None,
                      dim_maps=dim_maps)]
 

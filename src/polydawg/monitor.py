@@ -137,6 +137,22 @@ def similarity(sig_a, sig_b, weights=None):
                      jaccard(set(sig_a.constants), set(sig_b.constants)))
 
 
+def _plan_means(records):
+    """Mean runtime per plan over the ``records`` that did not fail,
+    summed in record order."""
+    runtimes = defaultdict(list)
+    for rec in records:
+        if rec.phase != "failed":
+            runtimes[rec.plan_id].append(rec.runtime_ms)
+    return {pid: sum(v) / len(v) for pid, v in runtimes.items()}
+
+
+def _lowest(means):
+    """Plan id with the lowest mean, ties to the smallest id; None when
+    ``means`` is empty."""
+    return min(means, key=lambda pid: (means[pid], pid), default=None)
+
+
 def usage_differs(usage_a, usage_b, bound=USAGE_DIFFERENCE_BOUND):
     """True when any engine's busy fraction differs by more than bound."""
     for engine in set(usage_a) | set(usage_b):
@@ -309,14 +325,7 @@ class MonitorDB:
     def best_plan(self, signature):
         """Plan id with the lowest mean runtime over successful runs; ties
         break to the lexicographically smallest id."""
-        runtimes = defaultdict(list)
-        for rec in self.records_for(signature):
-            if rec.phase != "failed":
-                runtimes[rec.plan_id].append(rec.runtime_ms)
-        if not runtimes:
-            return None
-        means = {pid: sum(v) / len(v) for pid, v in runtimes.items()}
-        return min(means, key=lambda pid: (means[pid], pid))
+        return _lowest(_plan_means(self.records_for(signature)))
 
     def mean_usage(self, signature, plan_id=None):
         """Per-engine arithmetic mean of busy fractions across records,
@@ -335,17 +344,9 @@ class MonitorDB:
         """Min-mean plan over only the records whose usage snapshot is
         within the large-difference bound of current usage; None when no
         record qualifies."""
-        runtimes = defaultdict(list)
-        for rec in self.records_for(signature):
-            if rec.phase == "failed":
-                continue
-            if usage_differs(rec.usage, current_usage, bound):
-                continue
-            runtimes[rec.plan_id].append(rec.runtime_ms)
-        if not runtimes:
-            return None
-        means = {pid: sum(v) / len(v) for pid, v in runtimes.items()}
-        return min(means, key=lambda pid: (means[pid], pid))
+        return _lowest(_plan_means(
+            rec for rec in self.records_for(signature)
+            if not usage_differs(rec.usage, current_usage, bound)))
 
     # --- pending queue -------------------------------------------------------
 
@@ -361,19 +362,11 @@ class MonitorDB:
         return [_fmt(r) for r in self.records]
 
     def plan_means(self, structure):
-        """Per-plan mean runtimes for every signature whose structure hash
-        starts with ``structure``; used by the CLI stats command."""
-        out = {}
-        for sig in self._bucket_of:
-            if not sig.structure.startswith(structure):
-                continue
-            runtimes = defaultdict(list)
-            for rec in self.records_for(sig):
-                if rec.phase != "failed":
-                    runtimes[rec.plan_id].append(rec.runtime_ms)
-            for pid, vals in runtimes.items():
-                out[pid] = sum(vals) / len(vals)
-        return out
+        """Per-plan mean runtimes over the records of every signature
+        whose structure hash starts with ``structure``; used by the CLI
+        stats command."""
+        return _plan_means(rec for rec in self.records
+                           if rec.signature.structure.startswith(structure))
 
     def stats(self):
         """Per-signature summary used by the CLI."""
@@ -381,12 +374,13 @@ class MonitorDB:
         for sig in self._bucket_of:
             recs = self.records_for(sig)
             ok = [r for r in recs if r.phase != "failed"]
+            means = _plan_means(ok)
             out.append({
                 "structure": sig.structure[:12],
                 "objects": sorted(sig.objects),
                 "runs": len(recs),
-                "plans": len({r.plan_id for r in ok}),
-                "best_plan": self.best_plan(sig),
+                "plans": len(means),
+                "best_plan": _lowest(means),
                 "mean_runtime_ms": (
                     sum(r.runtime_ms for r in ok) / len(ok) if ok else None
                 ),

@@ -13,14 +13,16 @@ from dataclasses import dataclass, field as dc_field
 from . import sql
 from .canonical import CanonicalTable
 from .engines.array import array_op
-from .engines.keyvalue import triple_schema
+from .engines.keyvalue import result_tag, triple_schema
 from .engines.relational import compile_select
 from .errors import (
     CastError, CatalogError, QuerySyntaxError, SchemaError, TypeMismatchError,
     ValidationError,
 )
-from .migrator import ARRAY, RELATIONAL, apply_cast, array_dims, chain_for
-from .values import REAL, TEXT, is_numeric_tag
+from .migrator import (
+    ARRAY, KEYVALUE, RELATIONAL, apply_cast, array_dims, chain_for,
+)
+from .values import is_numeric_tag
 
 
 def _span_field():
@@ -527,14 +529,14 @@ def validate(ast, registry, catalog):
     return res
 
 
-def _statically(fn, *args):
+def _statically(node, fn, *args):
     """``fn(*args)``, reporting the errors an engine or cast would raise
     on this input as validation errors, with the span of the offending
-    node."""
+    node, or of ``node`` where the error names none."""
     try:
         return fn(*args)
     except (CastError, CatalogError, SchemaError, TypeMismatchError) as e:
-        raise ValidationError(str(e), e.span) from e
+        raise ValidationError(str(e), e.span or node.span) from e
 
 
 def _resolve_object(name, island, res, span_owner):
@@ -553,39 +555,48 @@ def _resolve_object(name, island, res, span_owner):
     return info
 
 
+def _cast_empty(schema, chain):
+    """Schema of an empty table of ``schema`` cast by the specs of
+    ``chain``."""
+    table = CanonicalTable(schema)
+    for spec in chain:
+        table, _ = apply_cast(table, spec)
+    return table.schema
+
+
 def _cast_schema(inner, cast, target_model):
     """Schema of a cast result: the chain the executor runs for the cast,
     applied to an empty table of the inner scope's schema. A result in
     the array model must also have the dimensions migration loads."""
     if (inner.model == RELATIONAL and target_model != RELATIONAL
             and not cast.key):
-        raise ValidationError(
+        raise CastError(
             f"cast from relational to {target_model} requires key=..."
         )
-    table = CanonicalTable(inner.schema)
-    for spec in chain_for(inner.model, target_model, key=cast.key):
-        table, _ = apply_cast(table, spec)
+    schema = _cast_empty(
+        inner.schema, chain_for(inner.model, target_model, key=cast.key))
     if target_model == ARRAY:
-        array_dims(table.schema)
-    return table.schema
+        array_dims(schema)
+    return schema
 
 
 def _resolve_cast(cast, enclosing_island, res):
     inner = _validate_scope(cast.inner, res)
     if inner.schema is None:
         raise ValidationError(
-            "a raw scope result has no schema and cannot be cast"
+            "a raw scope result has no schema and cannot be cast", cast.span
         )
     target = res.registry.island(cast.target_island)
     if target is None:
-        raise ValidationError(f"unknown island {cast.target_island!r}")
+        raise ValidationError(f"unknown island {cast.target_island!r}",
+                              cast.span)
     if target.model != enclosing_island.model:
         raise ValidationError(
             f"cast to island {cast.target_island!r} (model {target.model}) "
             f"used inside island {enclosing_island.name!r} "
-            f"(model {enclosing_island.model})"
+            f"(model {enclosing_island.model})", cast.span
         )
-    schema = _statically(_cast_schema, inner, cast, target.model)
+    schema = _statically(cast, _cast_schema, inner, cast, target.model)
     info = LeafInfo("cast", target.model, schema, name=cast.placeholder,
                     cast=cast)
     res.leaves[id(cast)] = info
@@ -600,24 +611,15 @@ def _check_op(island, op):
         )
 
 
-def _d4m_leaf_check(info):
-    """Residency encodings for associative data on each engine."""
-    if info.kind != "object":
-        return
-    if info.model == "relational":
-        names = [n for n, _ in info.schema]
-        if names != ["r", "c", "v"] or info.schema[0][1] != TEXT \
-                or info.schema[1][1] != TEXT:
-            raise ValidationError(
-                f"object {info.name!r} on the relational engine must be "
-                "triple-encoded as (r:text, c:text, v)"
-            )
-    elif info.model == "array":
-        if len(info.schema) != 3:
-            raise ValidationError(
-                f"object {info.name!r} on the array engine must have 2 "
-                "dimensions and 1 attribute to act as an associative array"
-            )
+def _d4m_leaf_tag(info, catalog):
+    """Value tag of a d4m leaf: the chain a migration of it runs into the
+    associative model, applied to an empty table of its schema."""
+    dims = maps = None
+    if info.kind == "object" and info.model == ARRAY:
+        arr = catalog.engine(info.engine).array(info.name)
+        dims, maps = [n for n, _ in arr.dims], arr.dim_maps
+    chain = chain_for(info.model, KEYVALUE, dim_cols=dims, dim_maps=maps)
+    return _cast_empty(info.schema, chain)[2][1]
 
 
 def _validate_leaf(leaf, island, scope, res):
@@ -626,7 +628,8 @@ def _validate_leaf(leaf, island, scope, res):
     if isinstance(leaf, AliasRef):
         defs = [c for c in scope.casts if c.placeholder == leaf.name]
         if len(defs) != 1:
-            raise ValidationError(f"cast alias {leaf.name!r} not uniquely defined")
+            raise ValidationError(
+                f"cast alias {leaf.name!r} not uniquely defined", leaf.span)
         info = res.leaves[id(defs[0])]
         res.leaves[id(leaf)] = info
         return info
@@ -654,7 +657,8 @@ def _validate_scope(scope, res):
             else:
                 info_ = _resolve_object(ref.name, island, res, ref)
             table_schemas[ref.binding] = info_.schema
-        out_schema = _statically(compile_select, expr, table_schemas).schema
+        out_schema = _statically(expr, compile_select, expr,
+                                 table_schemas).schema
         info = ScopeInfo(scope.island, island.model, out_schema)
     elif isinstance(expr, D4mOp):
         val_tag = _validate_d4m(expr, island, scope, res)
@@ -681,7 +685,7 @@ def _validate_scope(scope, res):
             # a cast result reaches the array engine as a temporary that the
             # plan names and whose first two columns are its dimensions
             name, ndims = None, 2
-        schema, _ = _statically(array_op, expr.op, expr.params, name,
+        schema, _ = _statically(expr, array_op, expr.op, expr.params, name,
                                 linfo.schema, ndims)
         info = ScopeInfo(scope.island, island.model, schema)
     else:
@@ -695,14 +699,12 @@ def _validate_d4m(node, island, scope, res):
     tags = []
     for child in node.inputs:
         if isinstance(child, D4mOp):
-            tags.append(_validate_d4m(child, island, scope, res))
+            tag = _validate_d4m(child, island, scope, res)
         else:
             info = _validate_leaf(child, island, scope, res)
-            _d4m_leaf_check(info)
-            tags.append(info.schema[2][1])
-    if node.op in ("matmul", "ewise"):
-        for t in tags:
-            if not is_numeric_tag(t):
-                raise ValidationError(f"{node.op} requires numeric values")
-        return tags[0] if tags[0] == tags[1] else REAL
-    return tags[0]
+            tag = _statically(child, _d4m_leaf_tag, info, res.catalog)
+        if node.op in ("matmul", "ewise") and not is_numeric_tag(tag):
+            raise ValidationError(f"{node.op} requires numeric values",
+                                  child.span)
+        tags.append(tag)
+    return result_tag(*tags) if len(tags) == 2 else tags[0]

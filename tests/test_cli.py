@@ -345,3 +345,14 @@ def test_validation_errors_print_carets_and_run_time_errors_do_not(
         capsys)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "division by zero" in err
+
+
+def test_an_array_operator_error_prints_a_caret_under_the_operator(
+        workspace, capsys):
+    seed_dataset(workspace, capsys)
+    text = "array(subarray(waveform, v=0:1))"
+    op = "subarray(waveform, v=0:1)"
+    caret = " " * text.index(op) + "^" * len(op)
+    code, out, err = run(["query", text], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: unknown dimension 'v'", text, caret]

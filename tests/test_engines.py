@@ -393,13 +393,14 @@ def test_assoc_ops_agree_on_kv_and_arr(catalog, engine):
             catalog.execute_native(engine, query)
 
 
-def test_an_arr_assoc_operand_with_a_null_cell_is_a_type_error(catalog):
+def test_an_arr_assoc_operand_has_no_entry_for_a_null_cell(catalog):
+    # an associative array holds no null, so a null cell is no entry, as
+    # in every cast into the associative model
     table = CanonicalTable([("r", "int"), ("c", "int"), ("v", "real")],
                            [(0, 0, 1.5), (0, 1, None)])
     catalog.load("arr", "N", table, {"dims": [("r", 1), ("c", 2)]})
-    for query in ("MATMUL N N", "EWISE N N plus"):
-        with pytest.raises(TypeMismatchError, match="null cell of 'N'"):
-            catalog.execute_native("arr", query)
+    for query, val in (("MATMUL N N", 2.25), ("EWISE N N plus", 3.0)):
+        assert catalog.execute_native("arr", query).rows == [("0", "0", val)]
 
 
 # --- catalog --------------------------------------------------------------------

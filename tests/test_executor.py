@@ -32,16 +32,16 @@ def test_virtual_clock_and_delay_model():
     clock.advance(2.5)
     assert clock.now() == 7.5
     system = fresh_system(delays=StepDelayModel(
-        default_ms=3.0, container_ms=10.0, migrate_ms=20.0,
-        cross_op_site_ms={"kv": 30.0},
-        cross_op_kind_site_ms={("matmul", "kv"): 40.0}))
+        default_ms=3.0, cross_op_kind_site_ms={("matmul", "kv"): 40.0,
+                                               ("matmul", "arr"): 50.0}))
     pq = system.plan_query(MATMUL)
     kv_plan = next(p for p in pq.plans
                    if any(isinstance(s, CrossOp) and s.site == "kv"
                           for s in p.steps))
     _, runtime_ms = system.execute_plan(pq, kv_plan)
-    # one container + one migrate + one kv matmul (kind+site overrides site)
-    assert runtime_ms == pytest.approx(10.0 + 20.0 + 40.0)
+    # one container + one migrate at the default + one kv matmul at its
+    # (kind, site) delay
+    assert runtime_ms == pytest.approx(3.0 + 3.0 + 40.0)
 
 
 def test_kv_select_over_a_kv_result_agrees_with_the_oracle():

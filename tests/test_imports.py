@@ -65,6 +65,46 @@ def test_unused_import_detection():
     assert unused_imports(source) == [("os", 2), ("os", 3), ("c", 4)]
 
 
+# Modules that polydawg.engines imports. None of them may import from it:
+# ``engines/array.py`` imports ``migrator``, so a cycle back would fail in
+# some import orders only.
+BELOW_ENGINES = ("migrator", "canonical", "values", "errors")
+
+
+def engine_imports(source):
+    """Line of each import statement anywhere in ``source``, a top-level
+    module of the package, that reaches ``polydawg.engines``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, [
+                "polydawg" if node.level else None, node.module]))
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "polydawg.engines" or n.startswith("polydawg.engines.")
+               for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_modules_below_the_engines_do_not_import_them():
+    found = {module: engine_imports((PACKAGE / f"{module}.py").read_text())
+             for module in BELOW_ENGINES}
+    assert found == {module: [] for module in BELOW_ENGINES}
+
+
+def test_engine_import_detection():
+    source = ("from . import engines\nfrom .engines.array import NDArray\n"
+              "import polydawg.engines.base\nfrom polydawg import engines\n"
+              "from .migrator import chain_for\nimport polydawg.values\n"
+              "from .values import engines_x\n"
+              "def f():\n    from .engines import keyvalue\n")
+    assert engine_imports(source) == [1, 2, 3, 4, 9]
+
+
 def _referenced(tree):
     """Names a module refers to, leaving out each module-level function's
     references to itself."""

@@ -7,8 +7,8 @@ from polydawg.canonical import CanonicalTable, bag_equal
 from polydawg.engines import default_catalog
 from polydawg.errors import CastError
 from polydawg.migrator import (
-    ARRAY, KEYVALUE, RELATIONAL, CastSpec, apply_cast, chain_for,
-    migrate,
+    ARRAY, KEYVALUE, RELATIONAL, CastSpec, apply_cast, assoc_entries,
+    chain_for, migrate,
 )
 
 
@@ -78,6 +78,38 @@ def test_array_to_assoc_without_maps_uses_coordinate_strings():
     assoc, inverse = apply_cast(arr, CastSpec(ARRAY, KEYVALUE, dim_cols=("x", "y")))
     assert assoc.rows == [("0", "2", 1.0)]
     assert inverse is None
+
+
+def test_assoc_entries_take_keys_from_maps_or_coordinates():
+    cells = [((0, 0), 1.0), ((1, 2), 2.0), ((1, 0), None)]
+    assert assoc_entries(cells) == {("0", "0"): 1.0, ("1", "2"): 2.0}
+    assert assoc_entries(cells, [["a", "b"], None]) == {
+        ("a", "0"): 1.0, ("b", "2"): 2.0}
+    with pytest.raises(CastError, match=r"coordinate \(1, 2\) outside"):
+        assoc_entries(cells, [["a", "b"], ["x", "y"]])
+
+
+def test_array_to_assoc_with_a_partial_map_drops_nulls():
+    arr = CanonicalTable([("x", "int"), ("y", "int"), ("v", "int")],
+                         [(0, 1, 3), (1, 0, None)])
+    spec, = chain_for(ARRAY, KEYVALUE, dim_cols=("x", "y"),
+                      dim_maps=[["a", "b"], None])
+    assoc, inverse = apply_cast(arr, spec)
+    assert assoc.rows == [("a", "1", 3)]
+    assert inverse is None
+
+
+def test_an_unkeyed_relation_casts_only_when_triple_encoded():
+    spec, = chain_for(RELATIONAL, KEYVALUE)
+    assert spec.key is None
+    triples = CanonicalTable([("r", "text"), ("c", "text"), ("v", "int")],
+                             [("a", "b", 1), ("b", "a", None)])
+    assoc, _ = apply_cast(triples, spec)
+    assert assoc.rows == [("a", "b", 1)]
+    for schema in ([("r", "text"), ("c", "text"), ("w", "int")],
+                   [("r", "int"), ("c", "text"), ("v", "int")]):
+        with pytest.raises(CastError, match="triple-encoded"):
+            apply_cast(CanonicalTable(schema), spec)
 
 
 def test_relation_array_round_trip():

@@ -187,3 +187,17 @@ def test_plan_means_and_stats():
     assert row["runs"] == 3 and row["plans"] == 2
     assert row["best_plan"] == "p1"
     assert row["mean_runtime_ms"] == pytest.approx(70.0 / 3)
+
+
+def test_plan_means_average_every_record_of_every_matching_signature():
+    # two literal variants of one structure: a plan's mean covers the
+    # records of both, in record order, and a failed run counts in neither
+    db = MonitorDB()
+    first, second = sig(constants=("1",)), sig(constants=("2",))
+    db.record(rec(signature=first, runtime_ms=10.0))
+    db.record(rec(signature=second, runtime_ms=20.0))
+    db.record(rec(signature=second, runtime_ms=20.0))
+    db.record(rec(signature=first, phase="failed", runtime_ms=0.0))
+    db.record(rec(signature=sig("s2"), runtime_ms=99.0))
+    assert db.plan_means("s1") == {"p1": pytest.approx(50.0 / 3)}
+    assert [row["best_plan"] for row in db.stats()] == ["p1", "p1", "p1"]

@@ -197,7 +197,7 @@ def test_triple_relation_reaches_arr_through_assoc(env):
     assert moved.norm() == (
         "M[rel->arr:c0:relational->keyvalue,keyvalue->array]")
     assert [(s.source_model, s.target_model, s.key) for s in moved.chain] == [
-        ("relational", "keyvalue", ("r",)), ("keyvalue", "array", None)]
+        ("relational", "keyvalue", None), ("keyvalue", "array", None)]
 
 
 def test_codosing_plan_ids_and_migrations_are_pinned(env):

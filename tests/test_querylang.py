@@ -153,6 +153,33 @@ def test_validate_d4m_leaf_encoding(env):
     check(env, "d4m(transpose(dose_rc))")
 
 
+@pytest.mark.parametrize("text, fragment, message", [
+    ("array(agg(sum(t), waveform, by(patient)))",
+     "agg(sum(t), waveform, by(patient))", "unknown attribute 't'"),
+    ("array(subarray(waveform, v=0:1))", "subarray(waveform, v=0:1)",
+     "unknown dimension 'v'"),
+    ("d4m(transpose(cast(raw.kv(SCAN notes), d4m)))",
+     "cast(raw.kv(SCAN notes), d4m)",
+     "a raw scope result has no schema and cannot be cast"),
+    ("d4m(matmul(cast(relational(SELECT id, age FROM patients), d4m), "
+     "vitals))", "cast(relational(SELECT id, age FROM patients), d4m)",
+     "cast from relational to keyvalue requires key=..."),
+    ("d4m(matmul(vitals, patients))", "patients",
+     "relation->assoc cast requires 'key' or a triple-encoded relation "
+     "(r:text, c:text, v)"),
+    ("d4m(ewise(vitals, notes, plus))", "notes",
+     "ewise requires numeric values"),
+])
+def test_validation_errors_span_the_node_they_check(
+        env, text, fragment, message):
+    # an error that names no span of its own takes the span of the leaf,
+    # operator or cast whose check raised it
+    with pytest.raises(ValidationError) as caught:
+        check(env, text)
+    assert str(caught.value) == message
+    assert text[slice(*caught.value.span)] == fragment
+
+
 def test_validate_relational_cast_key_rules(env):
     # casting a relation into d4m requires a key
     with pytest.raises(ValidationError):
