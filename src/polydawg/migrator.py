@@ -32,7 +32,7 @@ class CastSpec:
     target_model: str
     key: object = None          # relation->assoc: key column names
     dim_cols: object = None     # relation->array / array source: dim column names
-    dim_maps: object = None     # per-dim sorted key lists or None (assoc<->array)
+    dim_maps: object = None     # per-dim sorted key lists or None
     pivot: object = None        # assoc->relation: (key_schema, attr_schema)
     column_order: object = None # array->relation: original column names
 

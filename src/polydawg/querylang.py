@@ -639,7 +639,7 @@ def _validate_leaf(leaf, island, scope, res):
 def _validate_scope(scope, res):
     island = res.registry.island(scope.island)
     if island is None:
-        raise ValidationError(f"unknown island {scope.island!r}")
+        raise ValidationError(f"unknown island {scope.island!r}", scope.span)
     expr = scope.expr
     for cast in scope.casts:
         _resolve_cast(cast, island, res)

@@ -169,6 +169,8 @@ def test_validate_d4m_leaf_encoding(env):
      "(r:text, c:text, v)"),
     ("d4m(ewise(vitals, notes, plus))", "notes",
      "ewise requires numeric values"),
+    ("d4m(matmul(vitals, cast(raw.foo(SCAN notes), d4m)))",
+     "raw.foo(SCAN notes)", "unknown island 'raw.foo'"),
 ])
 def test_validation_errors_span_the_node_they_check(
         env, text, fragment, message):
