@@ -1,10 +1,9 @@
 from .base import Engine, EngineCatalog, default_catalog
 from .relational import RelationalEngine
-from .keyvalue import KeyValueEngine, assoc_matmul, assoc_ewise, SEMIRINGS
+from .keyvalue import KeyValueEngine
 from .array import ArrayEngine
 
 __all__ = [
     "Engine", "EngineCatalog", "default_catalog",
     "RelationalEngine", "KeyValueEngine", "ArrayEngine",
-    "assoc_matmul", "assoc_ewise", "SEMIRINGS",
 ]

@@ -167,10 +167,6 @@ class ArrayEngine(Engine):
         except QuerySyntaxError as e:
             raise NativeSyntaxError(f"array parse error: {e}") from e
 
-    def _finish(self, cur):
-        if cur.peek().kind != "EOF":
-            cur.fail("unexpected trailing input")
-
     def _int(self, cur):
         tok = cur.peek()
         if tok.kind != "INT":
@@ -216,7 +212,7 @@ class ArrayEngine(Engine):
                             {"fn": fn, "attr": attr, "by": by})
 
     def _run_op(self, cur, name, op, params):
-        self._finish(cur)
+        cur.expect_end()
         arr = self._get(name)
         schema, run = array_op(op, params, name, arr.export_schema(),
                                len(arr.dims))

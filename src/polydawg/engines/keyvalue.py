@@ -8,8 +8,8 @@ scans, value grep, and the D4M-style semiring matmul / elementwise ops.
 from dataclasses import dataclass
 
 from .. import sql
-from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
+from ..migrator import entries_to_table, triple_schema
 from ..values import REAL, TEXT, finite, is_numeric_tag
 from .base import Engine
 
@@ -25,15 +25,6 @@ class AssociativeArray:
     name: str
     entries: dict  # (row-key, col-key) -> value
     val_tag: str = REAL
-
-
-def triple_schema(val_tag):
-    return [("row", TEXT), ("col", TEXT), ("val", val_tag)]
-
-
-def entries_to_table(entries, val_tag):
-    rows = [(r, c, v) for (r, c), v in sorted(entries.items())]
-    return CanonicalTable.trusted(triple_schema(val_tag), rows)
 
 
 def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
@@ -102,8 +93,7 @@ def run_assoc_op(verb, cur, operand):
             how = ".".join(parts).lower()
     else:
         how = cur.expect_ident("elementwise op (plus/min/max)").lower
-    if cur.peek().kind != "EOF":
-        cur.fail("unexpected trailing input")
+    cur.expect_end()
     opname = verb.upper()
     (ae, atag), (be, btag) = operand(a, opname), operand(b, opname)
     run = assoc_matmul if verb == "matmul" else assoc_ewise
@@ -180,10 +170,6 @@ class KeyValueEngine(Engine):
         cur.next()
         return sql.unquote(lo_tok), sql.unquote(hi_tok)
 
-    def _finish(self, cur):
-        if cur.peek().kind != "EOF":
-            cur.fail("unexpected trailing input")
-
     def _scan(self, cur):
         arr = self._get(cur.expect_ident("object name").text)
         row_rng = col_rng = None
@@ -195,7 +181,7 @@ class KeyValueEngine(Engine):
                 col_rng = self._range(cur)
             else:
                 cur.fail("expected ROWS or COLS")
-        self._finish(cur)
+        cur.expect_end()
         hit = {
             (r, c): v
             for (r, c), v in arr.entries.items()
@@ -210,7 +196,7 @@ class KeyValueEngine(Engine):
         if tok.kind != "DQSTR":
             cur.fail("expected double-quoted substring", {"DQSTR"})
         cur.next()
-        self._finish(cur)
+        cur.expect_end()
         needle = sql.unquote(tok)
         hit = {
             k: v for k, v in arr.entries.items()

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from . import sql
 from .errors import CatalogError, PlanningError, ValidationError
-from .querylang import ArrayOp, D4mOp, ObjRef, RawExpr, TextOp
+from .querylang import ObjRef, operator_of
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class IslandRegistry:
         """Native query text computing ``expr`` on ``engine_id``.
 
         ``binding`` maps a leaf node to the object name holding its data
-        on that engine; by default ObjRef leaves use their own name.
+        on that engine; by default a leaf that names an object uses that
+        name.
         """
         op = operator_of(expr)
         shims = self._shims.get((island, engine_id))
@@ -68,19 +69,11 @@ class IslandRegistry:
 
 
 def _default_binding(leaf):
-    if isinstance(leaf, ObjRef):
+    """The object that an operand names: an object name, or a SELECT's
+    table ref that holds no cast."""
+    if isinstance(leaf, (ObjRef, sql.TableRef)) and leaf.name is not None:
         return leaf.name
     raise ShimError(f"leaf {leaf!r} is not bound to an engine object")
-
-
-def operator_of(expr):
-    if isinstance(expr, sql.SelectStmt):
-        return "select"
-    if isinstance(expr, (D4mOp, TextOp, ArrayOp)):
-        return expr.op
-    if isinstance(expr, RawExpr):
-        return "native-passthrough"
-    raise ValidationError(f"not an island operator expression: {expr!r}")
 
 
 # --- shim translation functions ---------------------------------------------

@@ -109,10 +109,7 @@ def _relation_to_assoc(table, spec):
             if (r, c) in entries:
                 raise CastError(f"duplicate entry for ({r!r}, {c!r})")
             entries[(r, c)] = v
-        out = CanonicalTable.trusted(
-            [("row", TEXT), ("col", TEXT), ("val", table.schema[2][1])],
-            [(r, c, v) for (r, c), v in sorted(entries.items())],
-        )
+        out = entries_to_table(entries, table.schema[2][1])
         return out, CastSpec(KEYVALUE, RELATIONAL)
     if not key:
         raise CastError("relation->assoc cast requires 'key' or a "
@@ -140,10 +137,7 @@ def _relation_to_assoc(table, spec):
             if (rkey, ckey) in entries:
                 raise CastError(f"duplicate key projection {rkey!r}")
             entries[(rkey, ckey)] = row[i]
-    out = CanonicalTable.trusted(
-        [("row", TEXT), ("col", TEXT), ("val", val_tag)],
-        [(r, c, v) for (r, c), v in sorted(entries.items())],
-    )
+    out = entries_to_table(entries, val_tag)
     inverse = CastSpec(
         KEYVALUE, RELATIONAL,
         pivot=(
@@ -285,6 +279,19 @@ def assoc_entries(cells, dim_maps=None):
     return out
 
 
+def triple_schema(val_tag):
+    """Schema of a value in the associative model, as the kv engine
+    stores it."""
+    return [("row", TEXT), ("col", TEXT), ("val", val_tag)]
+
+
+def entries_to_table(entries, val_tag):
+    """Triple table of the associative entries ``{(row key, col key):
+    value}``, in key order."""
+    rows = [(r, c, v) for (r, c), v in sorted(entries.items())]
+    return CanonicalTable.trusted(triple_schema(val_tag), rows)
+
+
 def _array_to_assoc(table, spec):
     names = table.column_names
     dim_cols = tuple(spec.dim_cols or names[:2])
@@ -301,10 +308,7 @@ def _array_to_assoc(table, spec):
     rows = table.rows
     entries = assoc_entries(
         zip(map(itemgetter(di, dj), rows), map(itemgetter(ai), rows)), maps)
-    out = CanonicalTable.trusted(
-        [("row", TEXT), ("col", TEXT), ("val", table.schema[ai][1])],
-        sorted([(r, c, v) for (r, c), v in entries.items()]),
-    )
+    out = entries_to_table(entries, table.schema[ai][1])
     inverse = None
     if maps is not None and None not in maps:
         inverse = CastSpec(KEYVALUE, ARRAY, dim_maps=[list(m) for m in maps])
@@ -396,7 +400,7 @@ def normalize_for_engine(target_model, table):
         if not _is_triple_schema(table.schema):
             raise CastError("keyvalue load needs a triple table")
         return CanonicalTable.trusted(
-            [("row", TEXT), ("col", TEXT), ("val", table.schema[2][1])],
+            triple_schema(table.schema[2][1]),
             [r for r in table.rows if r[2] is not None],
         )
     return table

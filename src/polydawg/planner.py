@@ -1,12 +1,16 @@
 """Decompose validated queries into single-engine containers plus a
 cross-engine remainder, fingerprint them, and enumerate candidate plans.
 
-Containers are the maximal sub-trees whose leaves live on one engine and
-whose operators that engine's shims cover; everything else lands in the
-remainder. Each remainder node that an engine must execute gets a site
-assignment during enumeration; minimal Migrate steps move inputs to the
-site. Plan ids hash the constant-normalized step list so a query and its
-literal variants share plan identities.
+One rule decomposes every island operator (``_Decomposer.frag_op``): if
+all its operands are objects on one engine with a shim for it, it is one
+container; otherwise it is a remainder node over its operands, each
+object fetched by a container of its own, each cast and nested operator
+decomposed by the same rule. So an operator over a nested operator is
+always a remainder node, even where one engine could run both. A raw
+scope is one container. Each remainder node that an engine must execute
+gets a site assignment during enumeration; minimal Migrate steps move
+inputs to the site. Plan ids hash the constant-normalized step list so a
+query and its literal variants share plan identities.
 """
 
 import hashlib
@@ -16,7 +20,9 @@ from itertools import product
 from . import sql
 from .errors import PlanningError
 from .migrator import KEYVALUE, RELATIONAL, chain_for
-from .querylang import ArrayOp, D4mOp, RawExpr, TextOp, collect_constants
+from .querylang import (
+    D4mOp, RawExpr, TextOp, collect_constants, operands, operator_of,
+)
 
 EMPTY_REMAINDER_SENTINEL = "empty-remainder"
 
@@ -84,30 +90,22 @@ class RNode:
 
 
 def _norm_island_expr(expr, binding):
+    args = [binding(leaf) for leaf in operands(expr)]
+    p = expr.params
     if isinstance(expr, D4mOp):
-        args = []
-        for child in expr.inputs:
-            args.append(binding(child))
         if expr.op == "ewise":
-            args.append(expr.params["ewise_op"])
-        if expr.op == "select":
-            for which in ("rows", "cols"):
-                if which in expr.params:
-                    args.append(f"{which}=?")
-        return f"{expr.op}({','.join(args)})"
-    if isinstance(expr, TextOp):
-        extra = ",?" if expr.params else ""
-        return f"{expr.op}({binding(expr.obj)}{extra})"
-    if isinstance(expr, ArrayOp):
-        p = expr.params
-        if expr.op == "agg":
-            detail = f"{p['fn']}({p['attr']}),by({','.join(p['by'])})"
-        elif expr.op == "subarray":
-            detail = ",".join(f"{d}=?" for d, _, _ in p["ranges"])
-        else:
-            detail = sql.pp_expr(p["pred"], normalize=True)
-        return f"{expr.op}({binding(expr.obj)},{detail})"
-    raise TypeError(f"unexpected expr {expr!r}")
+            args.append(p["ewise_op"])
+        args += [f"{which}=?" for which in ("rows", "cols") if which in p]
+    elif isinstance(expr, TextOp):
+        if p:
+            args.append("?")
+    elif expr.op == "agg":
+        args.append(f"{p['fn']}({p['attr']}),by({','.join(p['by'])})")
+    elif expr.op == "subarray":
+        args.append(",".join(f"{d}=?" for d, _, _ in p["ranges"]))
+    else:
+        args.append(sql.pp_expr(p["pred"], normalize=True))
+    return f"{expr.op}({','.join(args)})"
 
 
 @dataclass
@@ -229,17 +227,22 @@ class _Decomposer:
 
     # ----- leaves
 
-    def leaf_fetch(self, info):
-        """Container that exports one engine-resident object."""
-        engine = self.catalog.engine(info.engine)
+    def fetch(self, info, alias=None, pushed=()):
+        """Container that exports one engine-resident object; a table
+        fetch keeps the table's alias and the conjuncts pushed down to
+        it."""
+        meta = {}
         if info.model == RELATIONAL:
             query = f"SELECT * FROM {info.name}"
-            meta = {}
+            if alias and alias != info.name:
+                query += f" {alias}"
+            if pushed:
+                query += " WHERE " + " AND ".join(
+                    sql.pp_expr(c) for c in pushed)
         elif info.model == KEYVALUE:
             query = f"SCAN {info.name}"
-            meta = {}
         else:
-            arr = engine.array(info.name)
+            arr = self.catalog.engine(info.engine).array(info.name)
             ranges = ",".join(
                 f"{n}=0:{length - 1}" for n, length in arr.dims
             )
@@ -248,7 +251,7 @@ class _Decomposer:
                     "dim_cols": [n for n, _ in arr.dims]}
         return self.add_container(
             engine_id=info.engine, query=query, out_model=info.model,
-            source_leaf=info.name, meta=meta,
+            source_leaf=None if pushed else info.name, meta=meta,
         )
 
     def frag_cast(self, cast):
@@ -269,113 +272,51 @@ class _Decomposer:
 
     def frag_scope(self, scope):
         island = self.registry.require_island(scope.island)
-        expr = scope.expr
-        if isinstance(expr, RawExpr):
+        if isinstance(scope.expr, RawExpr):
             return self.add_container(
-                engine_id=island.default_engine, query=expr.body,
+                engine_id=island.default_engine, query=scope.expr.body,
                 out_model=island.model,
             )
-        if isinstance(expr, sql.SelectStmt):
-            return self.frag_select(scope, island, expr)
-        if isinstance(expr, D4mOp):
-            return self.frag_d4m(scope, island, expr)
-        # text / array single-op scopes
-        leaf = expr.obj
-        info = self.res.leaf(leaf)
-        if info.kind == "object":
-            query = self.registry.translate(scope.island, expr,
-                                            island.default_engine)
-            return self.add_container(
-                engine_id=island.default_engine, query=query,
-                out_model=island.model,
-            )
-        input_alias = self.frag_cast(info.cast)
-        return self.add_node(
-            kind=expr.op, island=scope.island, expr=expr,
-            inputs=[input_alias], leaf_aliases={id(leaf): input_alias},
-            out_model=island.model,
-        )
+        return self.frag_op(island, scope.expr)
 
-    def frag_select(self, scope, island, stmt):
-        refs = stmt.table_refs()
-        infos = [self.res.leaf(ref) for ref in refs]
-        if all(i.kind == "object" for i in infos):
-            query = self.registry.translate(
-                scope.island, stmt, island.default_engine,
-                binding=lambda ref: ref.name,
-            )
-            return self.add_container(
-                engine_id=island.default_engine, query=query,
-                out_model=RELATIONAL,
-            )
-        # mixed: per-table fetch containers (with pushed-down conjuncts) +
-        # a remainder select node carrying the full statement
-        leaf_aliases = {}
-        inputs = []
-        conjuncts = _split_conjuncts(stmt.where)
-        for ref, info in zip(refs, infos):
-            if info.kind == "object":
-                pushed = [
-                    c for c in conjuncts
-                    if _only_references(c, ref.binding, info.schema,
-                                        _other_schemas(refs, infos, ref))
-                ]
-                alias = self._pushdown_fetch(info, ref, pushed)
-            else:
-                alias = self.frag_cast(info.cast)
-            leaf_aliases[id(ref)] = alias
-            inputs.append(alias)
-        node_alias = self.add_node(
-            kind="select", island=scope.island, expr=stmt, inputs=inputs,
-            leaf_aliases=leaf_aliases, out_model=RELATIONAL,
-        )
-        return node_alias
-
-    def _pushdown_fetch(self, info, ref, pushed):
-        base = f"SELECT * FROM {info.name}"
-        if ref.alias and ref.alias != info.name:
-            base += f" {ref.alias}"
-        if pushed:
-            base += " WHERE " + " AND ".join(sql.pp_expr(c) for c in pushed)
-        return self.add_container(
-            engine_id=info.engine, query=base, out_model=RELATIONAL,
-            source_leaf=info.name if not pushed else None,
-        )
-
-    def frag_d4m(self, scope, island, node):
-        """Alias of the op's value; engine-pure leaf sets stay symbolic
-        until we know whether the whole op is a container."""
-        descs = []  # ('obj', info, leaf) | ('alias', alias, leaf)
-        for child in node.inputs:
-            if isinstance(child, D4mOp):
-                descs.append(("alias", self.frag_d4m(scope, island, child),
-                              child))
-            else:
-                info = self.res.leaf(child)
-                if info.kind == "object":
-                    descs.append(("obj", info, child))
-                else:
-                    descs.append(("alias", self.frag_cast(info.cast), child))
-        engines = {d[1].engine for d in descs if d[0] == "obj"}
-        if (all(d[0] == "obj" for d in descs) and len(engines) == 1):
-            engine = engines.pop()
-            if self.registry.supports(scope.island, engine, node.op):
-                query = self.registry.translate(scope.island, node, engine)
+    def frag_op(self, island, expr):
+        """Alias of the island operator's value: one container when all
+        its operands are objects on one engine with a shim for it, else a
+        remainder node over its fetched, cast or nested operands."""
+        leaves = operands(expr)
+        infos = [None if isinstance(leaf, D4mOp) else self.res.leaf(leaf)
+                 for leaf in leaves]
+        op = operator_of(expr)
+        if all(i is not None and i.kind == "object" for i in infos):
+            engine, *rest = {i.engine for i in infos}
+            if not rest and self.registry.supports(island.name, engine, op):
+                query = self.registry.translate(island.name, expr, engine)
                 return self.add_container(
-                    engine_id=engine, query=query, out_model=KEYVALUE,
-                )
-        leaf_aliases = {}
-        inputs = []
-        for kind, payload, leaf in descs:
-            if kind == "obj":
-                alias = self.leaf_fetch(payload)
-            else:
-                alias = payload
-            leaf_aliases[id(leaf)] = alias
-            inputs.append(alias)
+                    engine_id=engine, query=query, out_model=island.model)
+        # the order in which operands are decomposed sets the aliases, and
+        # so the plan ids: a SELECT fetches each table as it reaches it,
+        # with the conjuncts that name it alone; other operators decompose
+        # their nested ops and casts first, then fetch their objects
+        select = isinstance(expr, sql.SelectStmt)
+        conjuncts = _split_conjuncts(expr.where) if select else []
+        aliases = {}
+        for leaf, info in zip(leaves, infos):
+            if info is None:
+                aliases[id(leaf)] = self.frag_op(island, leaf)
+            elif info.kind == "cast":
+                aliases[id(leaf)] = self.frag_cast(info.cast)
+            elif select:
+                others = _other_schemas(leaves, infos, leaf)
+                pushed = [c for c in conjuncts if _only_references(
+                    c, leaf.binding, info.schema, others)]
+                aliases[id(leaf)] = self.fetch(info, leaf.alias, pushed)
+        for leaf, info in zip(leaves, infos):
+            if id(leaf) not in aliases:
+                aliases[id(leaf)] = self.fetch(info)
         return self.add_node(
-            kind=node.op, island=scope.island, expr=node, inputs=inputs,
-            leaf_aliases=leaf_aliases, out_model=KEYVALUE,
+            kind=op, island=island.name, expr=expr,
+            inputs=[aliases[id(leaf)] for leaf in leaves],
+            leaf_aliases=aliases, out_model=island.model,
         )
 
 

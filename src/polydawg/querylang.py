@@ -13,14 +13,14 @@ from dataclasses import dataclass, field as dc_field
 from . import sql
 from .canonical import CanonicalTable
 from .engines.array import array_op
-from .engines.keyvalue import result_tag, triple_schema
+from .engines.keyvalue import result_tag
 from .engines.relational import compile_select
 from .errors import (
     CastError, CatalogError, QuerySyntaxError, SchemaError, TypeMismatchError,
     ValidationError,
 )
 from .migrator import (
-    ARRAY, KEYVALUE, RELATIONAL, apply_cast, array_dims, chain_for,
+    ARRAY, RELATIONAL, apply_cast, array_dims, chain_for, triple_schema,
 )
 from .values import is_numeric_tag
 
@@ -102,6 +102,31 @@ ARRAY_OPS = ("subarray", "filter", "agg")
 EWISE_OPS = ("plus", "min", "max")
 
 
+def operator_of(expr):
+    """Name of the operator ``expr``, as island operator sets and shims
+    name it."""
+    if isinstance(expr, sql.SelectStmt):
+        return "select"
+    if isinstance(expr, (D4mOp, TextOp, ArrayOp)):
+        return expr.op
+    if isinstance(expr, RawExpr):
+        return "native-passthrough"
+    raise ValidationError(f"not an island operator expression: {expr!r}")
+
+
+def operands(expr):
+    """Operands of an island operator, in order: a SELECT's table refs, a
+    d4m op's inputs (objects, casts and nested ops), or a text or array
+    op's object."""
+    if isinstance(expr, sql.SelectStmt):
+        return expr.table_refs()
+    if isinstance(expr, D4mOp):
+        return expr.inputs
+    if isinstance(expr, (TextOp, ArrayOp)):
+        return [expr.obj]
+    raise TypeError(f"not an island operator: {expr!r}")
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -110,8 +135,7 @@ class _Parser:
 
     def parse(self):
         root = self.parse_scope()
-        if self.cur.peek().kind != "EOF":
-            self.cur.fail("unexpected trailing input")
+        self.cur.expect_end()
         return QueryAST(root, self.text)
 
     def _dotted_ident(self, what):
@@ -611,100 +635,91 @@ def _check_op(island, op):
         )
 
 
-def _d4m_leaf_tag(info, catalog):
-    """Value tag of a d4m leaf: the chain a migration of it runs into the
-    associative model, applied to an empty table of its schema."""
+def _in_model(info, model, catalog):
+    """Schema of the operand ``info`` read in ``model``: the chain a
+    migration of it runs into ``model``, applied to an empty table of its
+    schema."""
+    if info.model == model:
+        return info.schema
     dims = maps = None
     if info.kind == "object" and info.model == ARRAY:
         arr = catalog.engine(info.engine).array(info.name)
         dims, maps = [n for n, _ in arr.dims], arr.dim_maps
-    chain = chain_for(info.model, KEYVALUE, dim_cols=dims, dim_maps=maps)
-    return _cast_empty(info.schema, chain)[2][1]
+    chain = chain_for(info.model, model, dim_cols=dims, dim_maps=maps)
+    return _cast_empty(info.schema, chain)
 
 
 def _validate_leaf(leaf, island, scope, res):
-    if isinstance(leaf, ObjRef):
-        return _resolve_object(leaf.name, island, res, leaf)
+    """Info of an operand that is no nested op: an object name, a cast
+    alias, or a SELECT's table ref, which names an object or holds a
+    cast."""
+    cast = None
     if isinstance(leaf, AliasRef):
         defs = [c for c in scope.casts if c.placeholder == leaf.name]
         if len(defs) != 1:
             raise ValidationError(
                 f"cast alias {leaf.name!r} not uniquely defined", leaf.span)
-        info = res.leaves[id(defs[0])]
-        res.leaves[id(leaf)] = info
-        return info
-    raise ValidationError(f"unexpected leaf {leaf!r}")
+        cast = defs[0]
+    elif isinstance(leaf, sql.TableRef):
+        cast = leaf.cast
+    if cast is None:
+        return _resolve_object(leaf.name, island, res, leaf)
+    info = res.leaves[id(cast)]
+    res.leaves[id(leaf)] = info
+    return info
 
 
 def _validate_scope(scope, res):
     island = res.registry.island(scope.island)
     if island is None:
         raise ValidationError(f"unknown island {scope.island!r}", scope.span)
-    expr = scope.expr
     for cast in scope.casts:
         _resolve_cast(cast, island, res)
-
-    if isinstance(expr, RawExpr):
+    if isinstance(scope.expr, RawExpr):
         _check_op(island, "native-passthrough")
-        info = ScopeInfo(scope.island, island.model, None)
-    elif isinstance(expr, sql.SelectStmt):
-        _check_op(island, "select")
-        table_schemas = {}
-        for ref in expr.table_refs():
-            if ref.cast is not None:
-                info_ = res.leaves[id(ref.cast)]
-                res.leaves[id(ref)] = info_
-            else:
-                info_ = _resolve_object(ref.name, island, res, ref)
-            table_schemas[ref.binding] = info_.schema
-        out_schema = _statically(expr, compile_select, expr,
-                                 table_schemas).schema
-        info = ScopeInfo(scope.island, island.model, out_schema)
-    elif isinstance(expr, D4mOp):
-        val_tag = _validate_d4m(expr, island, scope, res)
-        info = ScopeInfo(scope.island, island.model, triple_schema(val_tag))
-    elif isinstance(expr, TextOp):
-        _check_op(island, expr.op)
-        linfo = _validate_leaf(expr.obj, island, scope, res)
-        if linfo.model != island.model:
-            raise ValidationError(
-                f"text island operates on associative data, got {linfo.model}"
-            )
-        info = ScopeInfo(scope.island, island.model, list(linfo.schema))
-    elif isinstance(expr, ArrayOp):
-        _check_op(island, expr.op)
-        linfo = _validate_leaf(expr.obj, island, scope, res)
-        if linfo.model != island.model:
-            raise ValidationError(
-                f"array island operates on array data, got {linfo.model}"
-            )
-        if linfo.kind == "object":
-            name = linfo.name
-            ndims = len(res.catalog.engine(linfo.engine).array(name).dims)
-        else:
-            # a cast result reaches the array engine as a temporary that the
-            # plan names and whose first two columns are its dimensions
-            name, ndims = None, 2
-        schema, _ = _statically(expr, array_op, expr.op, expr.params, name,
-                                linfo.schema, ndims)
-        info = ScopeInfo(scope.island, island.model, schema)
+        schema = None
     else:
-        raise ValidationError(f"unsupported island expression {expr!r}")
+        schema = _validate_op(scope.expr, island, scope, res)
+    info = ScopeInfo(scope.island, island.model, schema)
     res.scopes[id(scope)] = info
     return info
 
 
-def _validate_d4m(node, island, scope, res):
-    _check_op(island, node.op)
-    tags = []
-    for child in node.inputs:
-        if isinstance(child, D4mOp):
-            tag = _validate_d4m(child, island, scope, res)
+def _validate_op(expr, island, scope, res):
+    """Output schema of the island operator ``expr``. Its operands are
+    resolved in order, a nested d4m op validated in its turn, and each is
+    read in the island's model; MATMUL and EWISE reject an operand that
+    is not numeric before they resolve the next."""
+    op = operator_of(expr)
+    _check_op(island, op)
+    leaves = operands(expr)
+    schemas = []
+    for leaf in leaves:
+        if isinstance(leaf, D4mOp):
+            schema = _validate_op(leaf, island, scope, res)
         else:
-            info = _validate_leaf(child, island, scope, res)
-            tag = _statically(child, _d4m_leaf_tag, info, res.catalog)
-        if node.op in ("matmul", "ewise") and not is_numeric_tag(tag):
-            raise ValidationError(f"{node.op} requires numeric values",
-                                  child.span)
-        tags.append(tag)
-    return result_tag(*tags) if len(tags) == 2 else tags[0]
+            info = _validate_leaf(leaf, island, scope, res)
+            schema = _statically(leaf, _in_model, info, island.model,
+                                 res.catalog)
+        if op in ("matmul", "ewise") and not is_numeric_tag(schema[2][1]):
+            raise ValidationError(f"{op} requires numeric values", leaf.span)
+        schemas.append(schema)
+    if isinstance(expr, sql.SelectStmt):
+        tables = {ref.binding: schema for ref, schema in zip(leaves, schemas)}
+        return _statically(expr, compile_select, expr, tables).schema
+    if isinstance(expr, D4mOp):
+        tags = [schema[2][1] for schema in schemas]
+        return triple_schema(result_tag(*tags) if len(tags) == 2 else tags[0])
+    if isinstance(expr, TextOp):
+        return list(schemas[0])
+    info = res.leaf(expr.obj)
+    if info.kind == "object":
+        name = info.name
+        ndims = len(res.catalog.engine(info.engine).array(name).dims)
+    else:
+        # a cast result reaches the array engine as a temporary that the
+        # plan names and whose first two columns are its dimensions
+        name, ndims = None, 2
+    schema, _ = _statically(expr, array_op, expr.op, expr.params, name,
+                            schemas[0], ndims)
+    return schema

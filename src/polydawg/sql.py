@@ -133,6 +133,10 @@ class Cursor:
             self.fail(f"expected {what}", {"IDENT"})
         return self.next()
 
+    def expect_end(self):
+        if self.peek().kind != "EOF":
+            self.fail("unexpected trailing input")
+
     def fail(self, message, expected=()):
         tok = self.peek()
         got = tok.text or "end of input"
@@ -457,8 +461,7 @@ def parse_select(cur, cast_parser=None):
 def parse_select_text(text, cast_parser=None):
     cur = Cursor(tokenize(text))
     stmt = parse_select(cur, cast_parser)
-    if cur.peek().kind != "EOF":
-        cur.fail("unexpected trailing input")
+    cur.expect_end()
     return stmt
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 import generators
@@ -231,3 +234,24 @@ def test_cross_op_reads_its_inputs_in_its_site_engines_model(env):
     assert [m.norm() for m in migrations(sites["rel"])] == [
         "M[kv->rel:c0:keyvalue->relational]"]
     assert [p.id for p in plans] == ["c56814afa3db9517", "cfb47b25906aa0ce"]
+
+
+# The digest of what planning 400 generated queries gives: each query's
+# signature structure, its plan ids in order and its containers. A change
+# to how a query decomposes or how its plans are named changes it.
+GENERATED_PLANS_SHA256 = "2adb6829f1c8ad201db6b07e6e4c6b1cf80c0ffbc84f9bf846e6abb517a07da2"
+
+
+def test_plans_of_generated_queries_are_pinned(env):
+    catalog, registry = env
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        resolved = resolve(env, generators.random_query(rng))
+        containers, remainder = decompose(resolved)
+        plans = enumerate_plans(containers, remainder, registry, catalog)
+        record = [signature_of(remainder, resolved).structure,
+                  [p.id for p in plans],
+                  [(c.alias, c.engine_id, c.query) for c in containers]]
+        digest.update(repr(record).encode() + b"\n")
+    assert digest.hexdigest() == GENERATED_PLANS_SHA256

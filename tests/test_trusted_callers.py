@@ -13,8 +13,7 @@ import pathlib
 import polydawg
 
 PACKAGE = pathlib.Path(next(iter(polydawg.__path__)))
-ALLOWED = {"engines/array.py", "engines/keyvalue.py",
-           "engines/relational.py", "migrator.py"}
+ALLOWED = {"engines/array.py", "engines/relational.py", "migrator.py"}
 
 
 def trusted_calls(source):
