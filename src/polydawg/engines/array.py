@@ -5,8 +5,14 @@ are simply absent. Objects may carry per-dimension key maps (sorted
 distinct string keys whose ranks are the coordinates, or None for a
 dimension keyed by its coordinates), which is how associative arrays are
 encoded here; MATMUL/EWISE take their keys through migrator.assoc_entries.
+
+FILTER runs as ``SELECT * ... WHERE``, generated code under the rules of
+``relational``. SUBARRAY walks its box when the box holds fewer
+coordinates than the array has cells, and filters the cells otherwise.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -17,7 +23,7 @@ from ..migrator import assoc_entries
 from ..values import INT, REAL, TEXT, is_numeric_tag
 from .base import Engine
 from .keyvalue import run_assoc_op
-from .relational import aggregator, compile_predicate
+from .relational import aggregator, compile_select
 
 
 @dataclass
@@ -37,12 +43,27 @@ def _rows(arr):
     return [coords + attrs for coords, attrs in sorted(arr.cells.items())]
 
 
+def _subarray(arr, bounds):
+    """SUBARRAY's rows, in coordinate order, for ``bounds``: dimension
+    index -> (lo, hi). A box of fewer coordinates than the array has
+    cells is walked cell by cell; otherwise the cells are filtered."""
+    box = [range(lo, min(hi + 1, length)) for lo, hi, length in (
+        (*bounds.get(i, (0, length - 1)), length)
+        for i, (_, length) in enumerate(arr.dims))]
+    if math.prod(map(len, box)) < len(arr.cells):
+        get = arr.cells.get
+        return [coords + attrs for coords in itertools.product(*box)
+                if (attrs := get(coords)) is not None]
+    return sorted(coords + attrs for coords, attrs in arr.cells.items()
+                  if all(c in rng for c, rng in zip(coords, box)))
+
+
 def array_op(op, params, name, schema, ndims):
     """``(output schema, run)`` of SUBARRAY, FILTER or AGG with parsed
     ``params`` over the array ``name`` whose export ``schema`` starts with
-    its ``ndims`` dimensions; ``run`` maps its export rows, in coordinate
-    order, to the output rows. Every operand error is raised here, before
-    a row is read, so query validation reports what the engine would."""
+    its ``ndims`` dimensions; ``run`` maps the array to the output rows.
+    Every operand error is raised here, before a cell is read, so query
+    validation reports what the engine would."""
     names = [n for n, _ in schema]
     dims = names[:ndims]
 
@@ -58,12 +79,12 @@ def array_op(op, params, name, schema, ndims):
             if lo < 0 or hi < lo:
                 raise SchemaError(f"bad range {lo}:{hi} for {d!r}")
             bounds[i] = (lo, hi)
-        return list(schema), lambda rows: [
-            r for r in rows
-            if all(lo <= r[i] <= hi for i, (lo, hi) in bounds.items())]
+        return list(schema), lambda arr: _subarray(arr, bounds)
     if op == "filter":
-        keep = compile_predicate(params["pred"], name, schema)
-        return list(schema), lambda rows: [r for r in rows if keep(r)]
+        select = compile_select(
+            sql.SelectStmt(None, sql.TableRef(name, None), None,
+                           params["pred"], [], [], None), {name: schema})
+        return select.schema, lambda arr: select.run(_rows(arr)).rows
     fn, attr = params["fn"], params["attr"]
     if attr not in names[ndims:]:
         raise SchemaError(f"unknown attribute {attr!r}")
@@ -74,12 +95,14 @@ def array_op(op, params, name, schema, ndims):
     bidx = [dim(d) for d in params["by"]]
 
     out_tag = {"count": INT, "avg": REAL}.get(fn, atag)
-    aggregate = aggregator(fn, out_tag)
 
-    def run(rows):
+    def run(arr):
+        aggregate = aggregator(fn, out_tag)
         groups = {}
-        for row in rows:
-            groups.setdefault(tuple(row[i] for i in bidx), []).append(row[ai])
+        for row in _rows(arr):
+            vals = groups.setdefault(tuple(row[i] for i in bidx), [])
+            if row[ai] is not None:
+                vals.append(row[ai])
         return [gkey + (aggregate(groups[gkey]),) for gkey in sorted(groups)]
 
     return [(d, INT) for d in params["by"]] + [(fn, out_tag)], run
@@ -216,7 +239,7 @@ class ArrayEngine(Engine):
         arr = self._get(name)
         schema, run = array_op(op, params, name, arr.export_schema(),
                                len(arr.dims))
-        return CanonicalTable.trusted(schema, run(_rows(arr)))
+        return CanonicalTable.trusted(schema, run(arr))
 
     # --- associative-array ops over key-mapped 2-D arrays ------------------
 

@@ -5,7 +5,9 @@ in row-major lexicographic order. The native language covers range
 scans, value grep, and the D4M-style semiring matmul / elementwise ops.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .. import sql
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
@@ -30,7 +32,8 @@ class AssociativeArray:
 def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
     """C(r,c) = oplus_k A(r,k) otimes B(k,c) over keys present in both.
     Every value is numeric: ``run_assoc_op`` takes only operands whose
-    value tag is."""
+    value tag is. Terms are combined in the order of A's entries, and
+    ``plus.times`` runs inline, with the same floats as its lambdas."""
     try:
         oplus, otimes = SEMIRINGS[semiring]
     except KeyError:
@@ -44,25 +47,36 @@ def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
     out = {}
     for r, arow in a_rows.items():
         acc = {}
+        get = acc.get  # values are never null
         for k, av in arow.items():
-            for c, bv in b_rows.get(k, {}).items():
-                term = otimes(av, bv)
-                acc[c] = term if c not in acc else oplus(acc[c], term)
-        for c, v in acc.items():
-            out[(r, c)] = v
+            brow = b_rows.get(k)
+            if brow is None:
+                continue
+            if semiring == "plus.times":
+                for c, bv in brow.items():
+                    s = get(c)
+                    acc[c] = av * bv if s is None else s + av * bv
+            else:
+                for c, bv in brow.items():
+                    term = otimes(av, bv)
+                    acc[c] = term if c not in acc else oplus(acc[c], term)
+        out.update({(r, c): v for c, v in acc.items()})
     return out
 
 
 def assoc_ewise(a_entries, b_entries, op="plus"):
     """Union of key sets; the op applies on overlap, copies elsewhere."""
-    fns = {"plus": lambda a, b: a + b, "min": min, "max": max}
+    fns = {"plus": None, "min": min, "max": max}  # plus runs inline
     try:
         fn = fns[op]
     except KeyError:
         raise SchemaError(f"unknown elementwise op {op!r}") from None
     out = dict(a_entries)
     for key, bv in b_entries.items():
-        out[key] = fn(out[key], bv) if key in out else bv
+        if key not in out:
+            out[key] = bv
+        else:
+            out[key] = out[key] + bv if fn is None else fn(out[key], bv)
     return out
 
 
@@ -101,8 +115,8 @@ def run_assoc_op(verb, cur, operand):
     if tag != atag or tag != btag:  # int meets real: every value is real
         entries = {k: float(v) for k, v in entries.items()}
     if tag == REAL:
-        for v in entries.values():
-            finite(v)
+        for v in filterfalse(math.isfinite, entries.values()):
+            finite(v)  # raises
     return entries_to_table(entries, tag)
 
 

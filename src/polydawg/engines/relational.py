@@ -6,9 +6,22 @@ the array engine's FILTER use too. Compiling checks every type: int and
 real compare as numbers, and text against a number is an error. JOIN is
 a hash equi-join in which NULL keys never match. ORDER BY ties are
 broken by full-tuple lexicographic order so results are deterministic.
+
+Compiling writes the statement as the source of one Python function, a
+loop per stage: join probe, WHERE, projection or GROUP BY, ORDER BY. The
+source holds only slot indexes, operators from fixed tables and generated
+names; literals are values bound in its namespace, so no query text ever
+enters it. Aggregates reduce each group's non-null values, collected in
+row order, and division, overflow and nulls go through the same helpers
+as in the closure compiler it replaced (``tests/select_reference.py``),
+so every result and error is the same. The first run compiles the source
+through a bounded cache keyed by its text, shared by all the queries of
+one shape.
 """
 
+import functools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .. import sql
@@ -17,7 +30,7 @@ from ..errors import (
     CatalogError, NativeSyntaxError, QuerySyntaxError, SchemaError,
     TypeMismatchError,
 )
-from ..values import INT, REAL, TEXT, finite, row_sort_key
+from ..values import INT, REAL, TEXT, finite
 from .base import Engine
 
 
@@ -122,47 +135,10 @@ def _infer_tag(expr, scope):
                             expr.span)
 
 
-def _getter(idx):
-    """``row -> tuple`` of the values at the slots ``idx``."""
-    if len(idx) == 1:
-        (i,) = idx
-        return lambda row: (row[i],)
-    return operator.itemgetter(*idx)
-
-
 def _divide(a, b):
     if b == 0:
         raise TypeMismatchError("division by zero")
     return a / b
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
-_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _scalar(expr, scope):
-    """``row -> value`` for a scalar expression. Arithmetic over text and
-    an aggregate outside grouping raise here; only division by zero
-    waits for a row, in the closure."""
-    if isinstance(expr, sql.Col):
-        return operator.itemgetter(scope.resolve(expr))
-    if isinstance(expr, sql.Lit):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, sql.Agg):
-        raise SchemaError("aggregate used outside a grouping context",
-                          expr.span)
-    _infer_tag(expr, scope)  # raises for arithmetic over text
-    left, right = _scalar(expr.left, scope), _scalar(expr.right, scope)
-    op = _ARITH[expr.op]
-
-    def arith(row):
-        a, b = left(row), right(row)
-        if a is None or b is None:
-            return None
-        return op(a, b)
-    return arith
 
 
 def _check_comparable(lt, rt, span):
@@ -172,62 +148,143 @@ def _check_comparable(lt, rt, span):
         raise TypeMismatchError(f"cross-tag comparison: {lt} vs {rt}", span)
 
 
-def _pred(pred, scope):
-    """``row -> bool`` for a WHERE or FILTER predicate, whose comparisons
-    are checked here. Null sorts below every value and equals itself."""
-    if isinstance(pred, sql.Cmp):
-        left, right = _scalar(pred.left, scope), _scalar(pred.right, scope)
-        _check_comparable(_infer_tag(pred.left, scope),
-                          _infer_tag(pred.right, scope), pred.span)
-        test = _CMP[pred.op]
+# --- source generation --------------------------------------------------------
 
-        def compare(row):
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return test(a is not None, b is not None)
-            return test(a, b)
-        return compare
-    if isinstance(pred, sql.Logic):
-        left, right = _pred(pred.left, scope), _pred(pred.right, scope)
-        if pred.op == "and":
-            return lambda row: left(row) and right(row)
-        return lambda row: left(row) or right(row)
-    if isinstance(pred, sql.Not):
-        inner = _pred(pred.expr, scope)
-        return lambda row: not inner(row)
-    raise TypeMismatchError("WHERE requires a predicate", pred.span)
+_ARITH = {"+": "+", "-": "-", "*": "*"}  # "/" calls _divide
+_CMP = {"=": ("==", operator.eq), "!=": ("!=", operator.ne),
+        "<": ("<", operator.lt), "<=": ("<=", operator.le),
+        ">": (">", operator.gt), ">=": (">=", operator.ge)}
+_LOGIC = {"and": "and", "or": "or"}
+_HELPERS = {"__builtins__": {}, "_divide": _divide, "_finite": finite,
+            "_len": len, "_sum": sum, "_min": min, "_max": max}
 
 
-def compile_predicate(pred, binding, schema):
-    """``row -> bool`` for ``pred`` over the rows of one table."""
-    return _pred(pred, _Scope([(binding, schema)]))
+@functools.lru_cache(maxsize=256)
+def _code(source):
+    """The code object of generated ``source``, compiled once per text."""
+    return compile(source, "<select>", "exec")
+
+
+# the source of a value over the row ``_r``; whether it may be null; whether
+# it cannot raise, so skipping it cannot skip an error; and whether it is a
+# slot or a bound name, cheap to repeat
+_Expr = namedtuple("_Expr", "code nullable pure simple")
+
+
+def _items(codes):
+    """The items of a tuple display of ``codes``."""
+    return "".join(f"{code}, " for code in codes)
+
+
+def _arith(op, a, b):
+    if op == "/":
+        return f"_divide({a}, {b})"
+    return f"({a} {_ARITH[op]} {b})"
+
+
+class _Emitter:
+    """Writes a statement's expressions as source over the row ``_r``,
+    resolving and checking them as it goes. ``names`` binds each literal,
+    aggregate and helper to the generated name that stands for it."""
+
+    def __init__(self, scope):
+        self.scope = scope
+        self.names = dict(_HELPERS)
+        self.temps = 0
+
+    def bind(self, value):
+        name = f"_v{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def twice(self, e):
+        """Source that evaluates ``e``, and source that reads it again."""
+        if e.simple:
+            return e.code, e.code
+        self.temps += 1
+        return f"(_t{self.temps} := {e.code})", f"_t{self.temps}"
+
+    def scalar(self, expr):
+        """Arithmetic over text and an aggregate outside grouping raise
+        here; only division by zero waits for a row."""
+        if isinstance(expr, sql.Col):
+            return _Expr(f"_r[{self.scope.resolve(expr)}]", True, True, True)
+        if isinstance(expr, sql.Lit):
+            return _Expr(self.bind(expr.value), False, True, True)
+        if isinstance(expr, sql.Agg):
+            raise SchemaError("aggregate used outside a grouping context",
+                              expr.span)
+        _infer_tag(expr, self.scope)  # raises for arithmetic over text
+        a, b = self.scalar(expr.left), self.scalar(expr.right)
+        pure = a.pure and b.pure and expr.op != "/"
+        if not (a.nullable or b.nullable):
+            return _Expr(_arith(expr.op, a.code, b.code), False, pure, False)
+        nulls, (x, y) = self.operands(a, b)
+        return _Expr(f"(None if {nulls} else {_arith(expr.op, x, y)})",
+                     True, pure, False)
+
+    def operands(self, a, b, both=False):
+        """The test that ``a`` or ``b`` is null, which evaluates them in
+        order, and the source reading each again. Null short-circuits the
+        test unless skipping an operand could skip an error, or ``both``
+        are read again whatever the test gives."""
+        strict = both or not (a.pure and b.pure)
+        tests, again = [], []
+        for e in (a, b):
+            if e.nullable or (strict and not e.simple):
+                first, code = self.twice(e)
+                tests.append(f"({first} is None)")
+            else:
+                code = e.code
+            again.append(code)
+        return (" | " if strict else " or ").join(tests), again
+
+    def compare(self, pred):
+        a, b = self.scalar(pred.left), self.scalar(pred.right)
+        _check_comparable(_infer_tag(pred.left, self.scope),
+                          _infer_tag(pred.right, self.scope), pred.span)
+        op, test = _CMP[pred.op]
+        if not (a.nullable or b.nullable):
+            return f"({a.code} {op} {b.code})"
+        both = a.nullable and b.nullable
+        nulls, (x, y) = self.operands(a, b, both)
+        # null sorts below every value and equals itself
+        null = (f"({x} is not None) {op} ({y} is not None)" if both
+                else test(not a.nullable, not b.nullable))
+        return f"({null} if {nulls} else {x} {op} {y})"
+
+    def predicate(self, pred):
+        """Source of a WHERE or FILTER predicate; null equals itself."""
+        if isinstance(pred, sql.Cmp):
+            return self.compare(pred)
+        if isinstance(pred, sql.Logic):
+            left, right = self.predicate(pred.left), self.predicate(pred.right)
+            return f"({left} {_LOGIC[pred.op]} {right})"
+        if isinstance(pred, sql.Not):
+            return f"(not {self.predicate(pred.expr)})"
+        raise TypeMismatchError("WHERE requires a predicate", pred.span)
 
 
 def _join(stmt, scope, n_left):
-    """``(left rows, right rows) -> joined rows`` for ``JOIN ... ON a = b``,
-    in left-major order. NULL keys never match, and an int key matches a
-    real one of equal value; a text key against a number raises here."""
+    """Source of the join stage, ``JOIN ... ON a = b`` over ``_rows`` and
+    ``_rows1`` in left-major order. NULL keys never match, and an int key
+    matches a real one of equal value; a text key against a number raises
+    here."""
     _, lcol, rcol = stmt.join
     a, b = scope.resolve(lcol), scope.resolve(rcol)
     _check_comparable(scope.tag_at(a), scope.tag_at(b),
                       (lcol.span[0], rcol.span[1]))
     if (a < n_left) == (b < n_left):  # both ON columns name one table
-        def on(row):
-            x, y = row[a], row[b]
-            return x is not None and x == y
-        return lambda left_rows, right_rows: [
-            row for row in (lrow + rrow for lrow in left_rows
-                            for rrow in right_rows) if on(row)]
+        return [f"_rows = [_r for _l in _rows for _x in _rows1 "
+                f"for _r in (_l + _x,) if _r[{a}] is not None "
+                f"and _r[{a}] == _r[{b}]]"]
     lkey, rkey = (a, b - n_left) if a < n_left else (b, a - n_left)
-
-    def hash_join(left_rows, right_rows):
-        index = {}
-        for r in right_rows:
-            if r[rkey] is not None:
-                index.setdefault(r[rkey], []).append(r)
-        return [lrow + rrow for lrow in left_rows
-                for rrow in index.get(lrow[lkey], ())]
-    return hash_join
+    return ["_index = {}",
+            "for _x in _rows1:",
+            f"    if _x[{rkey}] is not None:",
+            f"        _index.setdefault(_x[{rkey}], []).append(_x)",
+            f"_rows = [_l + _x for _l in _rows "
+            f"for _x in _index.get(_l[{lkey}], ())]"]
 
 
 def _has_agg(expr):
@@ -246,126 +303,155 @@ def _derived_name(expr):
     return "expr"
 
 
-_AGG_FNS = {"count": len, "sum": sum, "min": min, "max": max,
-            "avg": lambda vals: sum(vals) / len(vals)}
+# each aggregate over the source ``{0}`` of a group's non-null values
+_AGG_SOURCE = {"count": "_len({0})", "sum": "_sum({0})", "min": "_min({0})",
+               "max": "_max({0})", "avg": "_sum({0}) / _len({0})"}
+
+
+def _reduce(fn, tag, first, again):
+    """Source of the aggregate ``fn``, whose result has ``tag``, over a
+    group's non-null values, which ``first`` evaluates and ``again`` reads
+    again. No values give null except for COUNT. A real result is checked
+    to be finite, as a sum or its operands' arithmetic may have
+    overflowed."""
+    if fn == "count":
+        return f"_len({first})"
+    value = _AGG_SOURCE[fn].format(again)
+    if tag == REAL:
+        value = f"_finite({value})"
+    return f"({value} if {first} else None)"
 
 
 def aggregator(fn, tag):
     """``values -> value`` of the aggregate ``fn`` whose result has
-    ``tag``. Nulls are dropped, and no values give null except for COUNT.
-    A real result is checked to be finite, as a sum or its operands'
-    arithmetic may have overflowed."""
-    reduce, count = _AGG_FNS[fn], fn == "count"
-
-    def aggregate(values):
-        vals = [v for v in values if v is not None]
-        return reduce(vals) if vals or count else None
-    if tag == REAL:
-        return lambda values: finite(aggregate(values))
-    return aggregate
+    ``tag``, over a group's non-null values in row order."""
+    names = dict(_HELPERS)
+    exec(_code(f"def _agg(_l):\n    return {_reduce(fn, tag, '_l', '_l')}"),
+         names)
+    return names["_agg"]
 
 
-def _aggregate(agg, scope):
-    """``(group key, group rows) -> value`` for one aggregate item."""
-    if agg.fn == "count" and agg.arg is None:
-        return lambda key, rows: len(rows)
-    arg = _scalar(agg.arg, scope)
-    aggregate = aggregator(agg.fn, _infer_tag(agg, scope))
-    return lambda key, rows: aggregate(map(arg, rows))
-
-
-def _computed(fn, expr, tag):
-    """``row -> value`` of the output column ``expr`` of ``tag``; a real
-    that arithmetic computed is checked to be finite, as it may have
-    overflowed."""
-    if tag != REAL or isinstance(expr, sql.Col):
-        return fn
-    return lambda row: finite(fn(row))
-
-
-def _projection(stmt, scope):
-    """Output schema and ``rows -> output rows``, grouping included."""
-    items = stmt.items
+def _projection(stmt, emit):
+    """Output schema and the source of the projection stage, grouping
+    included; no source for ``SELECT *``."""
+    scope, items = emit.scope, stmt.items
     if not stmt.group_by and not any(_has_agg(it.expr) for it in items or []):
         if items is None:
-            # a copy, so a result never shares a stored relation's list
-            return [(n, t) for _, n, t in scope.columns], list
+            return [(n, t) for _, n, t in scope.columns], []
         schema = [(it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope))
                   for it in items]
-        fns = [_computed(_scalar(it.expr, scope), it.expr, tag)
-               for it, (_, tag) in zip(items, schema)]
-        return schema, lambda rows: [tuple([f(r) for f in fns]) for r in rows]
+        cells = []
+        for it, (_, tag) in zip(items, schema):
+            code = emit.scalar(it.expr).code
+            # a computed real may have overflowed
+            computed = tag == REAL and not isinstance(it.expr, sql.Col)
+            cells.append(f"_finite({code})" if computed else code)
+        return schema, [f"_rows = [({_items(cells)}) for _r in _rows]"]
     if items is None:
         raise SchemaError("SELECT * cannot be combined with grouping")
     gidx = [scope.resolve(c) for c in stmt.group_by]
-    schema, cells = [], []  # cells: (group key, group rows) -> value
+    schema, cells = [], []  # cells: group key position or (fn, tag, argument)
     for it in items:
         if _has_agg(it.expr):
-            if not isinstance(it.expr, sql.Agg):
+            agg = it.expr
+            if not isinstance(agg, sql.Agg):
                 raise SchemaError("aggregates cannot be nested in arithmetic")
-            cells.append(_aggregate(it.expr, scope))
+            # COUNT(*) counts the group's rows, and a row is never null
+            arg = (_Expr("_r", False, True, True) if agg.arg is None
+                   else emit.scalar(agg.arg))
+            cells.append((agg.fn, _infer_tag(agg, scope), arg))
         elif not isinstance(it.expr, sql.Col) or scope.resolve(it.expr) not in gidx:
             raise SchemaError(
                 f"non-aggregate select item {sql.pp_expr(it.expr)!r} "
                 "is not in GROUP BY"
             )
         else:
-            pos = gidx.index(scope.resolve(it.expr))
-            cells.append(lambda key, rows, pos=pos: key[pos])
+            cells.append(gidx.index(scope.resolve(it.expr)))
         schema.append((it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope)))
-    group_key = _getter(gidx) if gidx else None
+    return schema, _grouping(gidx, cells, emit)
 
-    def group(rows):
-        if group_key is None:
-            groups = {(): rows}
+
+def _grouping(gidx, cells, emit):
+    """Source of the GROUP BY loop. When no aggregate argument can raise,
+    one pass collects every argument's non-null values per group;
+    otherwise the loop collects each group's rows and the output reads
+    one argument at a time, so a group's errors come in item order."""
+    strict = any(not c[2].pure for c in cells if isinstance(c, tuple))
+    slots, collect, out = {}, [], []
+    for cell in cells:
+        if not isinstance(cell, tuple):
+            out.append(f"_k[{cell}]" if len(gidx) > 1 else "_k")
+            continue
+        fn, tag, arg = cell
+        if not strict:  # one list per distinct argument
+            if arg.code not in slots:
+                slot = slots[arg.code] = len(slots)
+                collect += ([f"_x = {arg.code}", "if _x is not None:",
+                             f"    _s[{slot}].append(_x)"] if arg.nullable
+                            else [f"_s[{slot}].append({arg.code})"])
+            values = _Expr(f"_s[{slots[arg.code]}]", False, True, True)
+        elif arg.code == "_r":  # COUNT(*): the group's rows
+            values = _Expr("_s", False, True, True)
+        elif arg.nullable:
+            values = _Expr(f"[_x for _r in _s if (_x := {arg.code}) is not None]",
+                           False, True, False)
         else:
-            groups = {}
-            for r in rows:
-                groups.setdefault(group_key(r), []).append(r)
-        return [tuple([cell(k, g) for cell in cells]) for k, g in groups.items()]
-    return schema, group
+            values = _Expr(f"[{arg.code} for _r in _s]", False, True, False)
+        out.append(_reduce(fn, tag, *emit.twice(values)))
+    state = f"({_items(['[]'] * len(slots))})"
+    cells = f"({_items(out)})"
+    if not gidx:
+        if strict:
+            return ["_s = _rows", f"_rows = [{cells}]"]
+        return [f"_s = {state}", "for _r in _rows:",
+                *("    " + line for line in collect), f"_rows = [{cells}]"]
+    key = (f"_r[{gidx[0]}]" if len(gidx) == 1
+           else f"({', '.join(f'_r[{i}]' for i in gidx)})")
+    found = (["    if _s is None:", "        _groups[_k] = [_r]",
+              "    else:", "        _s.append(_r)"] if strict else
+             ["    if _s is None:", f"        _s = _groups[_k] = {state}",
+              *("    " + line for line in collect)])
+    return ["_groups = {}", "_get = _groups.get", "for _r in _rows:",
+            f"    _k = {key}", "    _s = _get(_k)", *found,
+            f"_rows = [{cells} for _k, _s in _groups.items()]"]
 
 
-def _ordering(stmt, schema):
-    """``rows -> rows`` applying ORDER BY and LIMIT, or None for neither."""
+def _ordering(stmt, schema, emit):
+    """Source of the ORDER BY and LIMIT stage: a sort by ``row_sort_key``
+    of the ORDER BY columns and then of the whole row, written out."""
     names = [n for n, _ in schema]
     keys = []
     for c in stmt.order_by:
         if c.qual is not None or c.name not in names:
             raise CatalogError(f"ORDER BY column {sql.pp_expr(c)!r} not in output")
         keys.append(names.index(c.name))
-    limit = stmt.limit
-    if keys:
-        by = _getter(keys)
-        key = lambda r: (row_sort_key(by(r)), row_sort_key(r))  # noqa: E731
-    elif limit is not None:
-        key = row_sort_key
-    else:
-        return None
-    return lambda rows: sorted(rows, key=key)[:limit]
+    if not keys and stmt.limit is None:
+        return []
+    key = "".join(f"_r[{i}] is not None, _r[{i}], "
+                  for i in keys + list(range(len(schema))))
+    lines = [f"_rows.sort(key=lambda _r: ({key}))"]
+    if stmt.limit is not None:
+        lines.append(f"_rows = _rows[:{emit.bind(stmt.limit)}]")
+    return lines
 
 
 @dataclass
 class CompiledSelect:
     """A SELECT bound to its input schemas: the output schema, and the
-    closures that evaluate the statement over rows."""
+    source of the function that evaluates the statement over rows."""
 
     schema: list  # output (name, tag) pairs
-    join: object  # (left rows, right rows) -> rows, or None
-    where: object  # row -> bool, or None
-    project: object  # rows -> output rows
-    order: object  # output rows -> ordered, limited rows, or None
+    source: str  # defines _select(rows, join rows) -> output rows
+    names: dict  # the value of each generated name in the source
+    _select: object = field(default=None, repr=False)
 
     def run(self, rows, join_rows=None):
         """Evaluate over the rows of the FROM table and the JOIN table."""
-        if self.join is not None:
-            rows = self.join(rows, join_rows)
-        if self.where is not None:
-            rows = list(filter(self.where, rows))
-        rows = self.project(rows)
-        if self.order is not None:
-            rows = self.order(rows)
-        return CanonicalTable.trusted(self.schema, rows)
+        if self._select is None:
+            exec(_code(self.source), self.names)
+            self._select = self.names["_select"]
+        return CanonicalTable.trusted(self.schema,
+                                      self._select(rows, join_rows))
 
 
 def compile_select(stmt, table_schemas):
@@ -376,11 +462,19 @@ def compile_select(stmt, table_schemas):
     refs = stmt.table_refs()
     if len(refs) == 2 and refs[0].binding == refs[1].binding:
         raise SchemaError(f"duplicate table binding {refs[1].binding!r}")
-    scope = _Scope([(ref.binding, table_schemas[ref.binding])
-                    for ref in refs])
-    join = None
+    emit = _Emitter(_Scope([(ref.binding, table_schemas[ref.binding])
+                            for ref in refs]))
+    stages = []
     if stmt.join:
-        join = _join(stmt, scope, len(table_schemas[stmt.table.binding]))
-    where = _pred(stmt.where, scope) if stmt.where is not None else None
-    schema, project = _projection(stmt, scope)
-    return CompiledSelect(schema, join, where, project, _ordering(stmt, schema))
+        stages += _join(stmt, emit.scope,
+                        len(table_schemas[stmt.table.binding]))
+    if stmt.where is not None:
+        stages.append(
+            f"_rows = [_r for _r in _rows if {emit.predicate(stmt.where)}]")
+    schema, project = _projection(stmt, emit)
+    # a copy, so a result never shares a stored relation's list
+    stages += project or ([] if stages else ["_rows = [*_rows]"])
+    stages += _ordering(stmt, schema, emit)
+    source = "\n    ".join(
+        ["def _select(_rows, _rows1):", *stages, "return _rows"])
+    return CompiledSelect(schema, source, emit.names)

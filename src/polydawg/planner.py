@@ -13,6 +13,7 @@ inputs to the site. Plan ids hash the constant-normalized step list so a
 query and its literal variants share plan identities.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from itertools import product
@@ -55,8 +56,8 @@ class Container:
     def id(self):
         return _sha(f"{self.engine_id}\x00{self.query}")[:16]
 
-    @property
-    def norm(self):
+    @functools.cached_property
+    def norm(self):  # containers are never changed once built
         return f"{self.engine_id}:{normalize_native(self.query)}"
 
 
@@ -176,8 +177,8 @@ class CandidatePlan:
     root_alias: str
     estimated_moves: int
 
-    @property
-    def id(self):
+    @functools.cached_property
+    def id(self):  # steps are never changed once the plan is built
         return _sha("\x00".join(s.norm() for s in self.steps))[:16]
 
 
