@@ -69,17 +69,13 @@ class _Gen:
     def scalar(self, depth=0, numeric=None):
         rng = self.rng
         want = numeric if numeric is not None else rng.random() < 0.75
-        pool = [c for c in self.cols if (c[1] != "text") == want]
+        pool = [n for n, tag in self.cols if (tag != "text") == want]
         if depth < 2 and want and rng.random() < 0.45:
-            op = rng.choice("+-*/")
-            left = self.scalar(depth + 1, True)[0]
-            right = self.scalar(depth + 1, True)[0]
-            return f"({left} {op} {right})", "real" if op == "/" else "num"
+            left, right = self.scalar(depth + 1, True), self.scalar(depth + 1, True)
+            return f"({left} {rng.choice('+-*/')} {right})"
         if pool and rng.random() < 0.75:
-            name, tag = rng.choice(pool)
-            return name, tag
-        tag = rng.choice(["int", "real"]) if want else "text"
-        return _literal(rng, tag), tag
+            return rng.choice(pool)
+        return _literal(rng, rng.choice(["int", "real"]) if want else "text")
 
     def pred(self, depth=0):
         rng = self.rng
@@ -90,9 +86,9 @@ class _Gen:
             return f"({self.pred(depth + 1)}) {kind} ({self.pred(depth + 1)})"
         numeric = rng.random() < 0.75
         if rng.random() < 0.03:  # a cross-tag comparison: a compile error
-            left, right = self.scalar(0, True)[0], self.scalar(0, False)[0]
+            left, right = self.scalar(0, True), self.scalar(0, False)
         else:
-            left, right = self.scalar(0, numeric)[0], self.scalar(0, numeric)[0]
+            left, right = self.scalar(0, numeric), self.scalar(0, numeric)
         return f"{left} {rng.choice(sql.CMP_OPS)} {right}"
 
 
@@ -112,7 +108,7 @@ def _select(rng, lcols, rcols, joined):
                 numeric = fn in ("sum", "avg") or rng.random() < 0.7
                 if rng.random() < 0.02:
                     numeric = not numeric  # SUM over text: a compile error
-                items.append(f"{fn.upper()}({gen.scalar(0, numeric)[0]})")
+                items.append(f"{fn.upper()}({gen.scalar(0, numeric)})")
         if rng.random() < 0.02:
             items.append(rng.choice(cols)[0])  # maybe not in GROUP BY
         if not items:
@@ -120,7 +116,7 @@ def _select(rng, lcols, rcols, joined):
     elif rng.random() < 0.15:
         items = None
     else:
-        items = [gen.scalar()[0] for _ in range(rng.randint(1, 3))]
+        items = [gen.scalar() for _ in range(rng.randint(1, 3))]
     text = "SELECT " + (
         "*" if items is None
         else ", ".join(f"{e} AS o{i}" for i, e in enumerate(items)))
