@@ -6,9 +6,10 @@ distinct string keys whose ranks are the coordinates, or None for a
 dimension keyed by its coordinates), which is how associative arrays are
 encoded here; MATMUL/EWISE take their keys through migrator.assoc_entries.
 
-FILTER runs as ``SELECT * ... WHERE``, generated code under the rules of
-``relational``. SUBARRAY walks its box when the box holds fewer
-coordinates than the array has cells, and filters the cells otherwise.
+FILTER runs as ``SELECT * ... WHERE`` and AGG as a GROUP BY SELECT,
+generated code under the rules of ``relational``. SUBARRAY walks its box
+when the box holds fewer coordinates than the array has cells, and
+filters the cells otherwise.
 """
 
 import itertools
@@ -20,10 +21,10 @@ from .. import sql
 from ..canonical import CanonicalTable
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
 from ..migrator import assoc_entries
-from ..values import INT, REAL, TEXT, is_numeric_tag
+from ..values import INT, TEXT, is_numeric_tag
 from .base import Engine
 from .keyvalue import run_assoc_op
-from .relational import aggregator, compile_select
+from .relational import compile_select
 
 
 @dataclass
@@ -88,24 +89,19 @@ def array_op(op, params, name, schema, ndims):
     fn, attr = params["fn"], params["attr"]
     if attr not in names[ndims:]:
         raise SchemaError(f"unknown attribute {attr!r}")
-    ai = names.index(attr)
-    atag = schema[ai][1]
-    if fn in ("sum", "avg") and atag == TEXT:
+    if fn in ("sum", "avg") and schema[names.index(attr)][1] == TEXT:
         raise TypeMismatchError(f"{fn.upper()} over text attribute")
-    bidx = [dim(d) for d in params["by"]]
-
-    out_tag = {"count": INT, "avg": REAL}.get(fn, atag)
-
-    def run(arr):
-        aggregate = aggregator(fn, out_tag)
-        groups = {}
-        for row in _rows(arr):
-            vals = groups.setdefault(tuple(row[i] for i in bidx), [])
-            if row[ai] is not None:
-                vals.append(row[ai])
-        return [gkey + (aggregate(groups[gkey]),) for gkey in sorted(groups)]
-
-    return [(d, INT) for d in params["by"]] + [(fn, out_tag)], run
+    for d in params["by"]:
+        dim(d)  # raises for an unknown dimension
+    by = [sql.Col(None, d) for d in params["by"]]
+    items = [sql.SelectItem(c, None) for c in by]
+    items.append(sql.SelectItem(sql.Agg(fn, sql.Col(None, attr)), None))
+    select = compile_select(
+        sql.SelectStmt(items, sql.TableRef(name, None), None, None, by, by,
+                       None), {name: schema})
+    # an empty array has no groups, even with no BY dimension
+    return select.schema, lambda arr: (
+        select.run(_rows(arr)).rows if arr.cells else [])
 
 
 class ArrayEngine(Engine):

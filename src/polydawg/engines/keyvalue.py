@@ -5,9 +5,8 @@ in row-major lexicographic order. The native language covers range
 scans, value grep, and the D4M-style semiring matmul / elementwise ops.
 """
 
-import math
+import operator
 from dataclasses import dataclass
-from itertools import filterfalse
 
 from .. import sql
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
@@ -44,6 +43,7 @@ def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
     b_rows = {}
     for (k, c), v in b_entries.items():
         b_rows.setdefault(k, {})[c] = v
+    plus_times = semiring == "plus.times"
     out = {}
     for r, arow in a_rows.items():
         acc = {}
@@ -52,7 +52,7 @@ def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
             brow = b_rows.get(k)
             if brow is None:
                 continue
-            if semiring == "plus.times":
+            if plus_times:
                 for c, bv in brow.items():
                     s = get(c)
                     acc[c] = av * bv if s is None else s + av * bv
@@ -60,23 +60,21 @@ def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
                 for c, bv in brow.items():
                     term = otimes(av, bv)
                     acc[c] = term if c not in acc else oplus(acc[c], term)
-        out.update({(r, c): v for c, v in acc.items()})
+        for c, v in acc.items():
+            out[(r, c)] = v
     return out
 
 
 def assoc_ewise(a_entries, b_entries, op="plus"):
     """Union of key sets; the op applies on overlap, copies elsewhere."""
-    fns = {"plus": None, "min": min, "max": max}  # plus runs inline
+    fns = {"plus": operator.add, "min": min, "max": max}
     try:
         fn = fns[op]
     except KeyError:
         raise SchemaError(f"unknown elementwise op {op!r}") from None
     out = dict(a_entries)
     for key, bv in b_entries.items():
-        if key not in out:
-            out[key] = bv
-        else:
-            out[key] = out[key] + bv if fn is None else fn(out[key], bv)
+        out[key] = fn(out[key], bv) if key in out else bv
     return out
 
 
@@ -115,8 +113,8 @@ def run_assoc_op(verb, cur, operand):
     if tag != atag or tag != btag:  # int meets real: every value is real
         entries = {k: float(v) for k, v in entries.items()}
     if tag == REAL:
-        for v in filterfalse(math.isfinite, entries.values()):
-            finite(v)  # raises
+        for v in entries.values():
+            finite(v)
     return entries_to_table(entries, tag)
 
 

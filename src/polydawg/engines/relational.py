@@ -20,7 +20,6 @@ one shape.
 """
 
 import functools
-import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -150,36 +149,30 @@ def _check_comparable(lt, rt, span):
 
 # --- source generation --------------------------------------------------------
 
-_ARITH = {"+": "+", "-": "-", "*": "*"}  # "/" calls _divide
-_CMP = {"=": ("==", operator.eq), "!=": ("!=", operator.ne),
-        "<": ("<", operator.lt), "<=": ("<=", operator.le),
-        ">": (">", operator.gt), ">=": (">=", operator.ge)}
+_ARITH = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
+          "/": "_divide({}, {})"}
+_CMP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _LOGIC = {"and": "and", "or": "or"}
 _HELPERS = {"__builtins__": {}, "_divide": _divide, "_finite": finite,
             "_len": len, "_sum": sum, "_min": min, "_max": max}
 
 
-@functools.lru_cache(maxsize=256)
+# each benchmark workload runs at most 9 shapes, and a code object takes
+# about 2 KB, so a full cache stays near 0.15 MB
+@functools.lru_cache(maxsize=64)
 def _code(source):
     """The code object of generated ``source``, compiled once per text."""
     return compile(source, "<select>", "exec")
 
 
-# the source of a value over the row ``_r``; whether it may be null; whether
-# it cannot raise, so skipping it cannot skip an error; and whether it is a
-# slot or a bound name, cheap to repeat
-_Expr = namedtuple("_Expr", "code nullable pure simple")
+# the source of a value over the row ``_r``; whether it may be null; and
+# whether it is a slot or a bound name, cheap to repeat
+_Expr = namedtuple("_Expr", "code nullable simple")
 
 
 def _items(codes):
     """The items of a tuple display of ``codes``."""
     return "".join(f"{code}, " for code in codes)
-
-
-def _arith(op, a, b):
-    if op == "/":
-        return f"_divide({a}, {b})"
-    return f"({a} {_ARITH[op]} {b})"
 
 
 class _Emitter:
@@ -208,50 +201,45 @@ class _Emitter:
         """Arithmetic over text and an aggregate outside grouping raise
         here; only division by zero waits for a row."""
         if isinstance(expr, sql.Col):
-            return _Expr(f"_r[{self.scope.resolve(expr)}]", True, True, True)
+            return _Expr(f"_r[{self.scope.resolve(expr)}]", True, True)
         if isinstance(expr, sql.Lit):
-            return _Expr(self.bind(expr.value), False, True, True)
+            return _Expr(self.bind(expr.value), False, True)
         if isinstance(expr, sql.Agg):
             raise SchemaError("aggregate used outside a grouping context",
                               expr.span)
         _infer_tag(expr, self.scope)  # raises for arithmetic over text
         a, b = self.scalar(expr.left), self.scalar(expr.right)
-        pure = a.pure and b.pure and expr.op != "/"
         if not (a.nullable or b.nullable):
-            return _Expr(_arith(expr.op, a.code, b.code), False, pure, False)
+            return _Expr(_ARITH[expr.op].format(a.code, b.code), False, False)
         nulls, (x, y) = self.operands(a, b)
-        return _Expr(f"(None if {nulls} else {_arith(expr.op, x, y)})",
-                     True, pure, False)
+        return _Expr(f"(None if {nulls} else {_ARITH[expr.op].format(x, y)})",
+                     True, False)
 
-    def operands(self, a, b, both=False):
-        """The test that ``a`` or ``b`` is null, which evaluates them in
-        order, and the source reading each again. Null short-circuits the
-        test unless skipping an operand could skip an error, or ``both``
-        are read again whatever the test gives."""
-        strict = both or not (a.pure and b.pure)
+    def operands(self, a, b):
+        """The test that ``a`` or ``b`` is null, and the source reading
+        each again. The test evaluates both in order, whatever the first
+        gives, so a division by zero raises as it did in the closures."""
         tests, again = [], []
         for e in (a, b):
-            if e.nullable or (strict and not e.simple):
+            if e.nullable or not e.simple:
                 first, code = self.twice(e)
                 tests.append(f"({first} is None)")
             else:
                 code = e.code
             again.append(code)
-        return (" | " if strict else " or ").join(tests), again
+        return " | ".join(tests), again
 
     def compare(self, pred):
         a, b = self.scalar(pred.left), self.scalar(pred.right)
         _check_comparable(_infer_tag(pred.left, self.scope),
                           _infer_tag(pred.right, self.scope), pred.span)
-        op, test = _CMP[pred.op]
+        op = _CMP[pred.op]
         if not (a.nullable or b.nullable):
             return f"({a.code} {op} {b.code})"
-        both = a.nullable and b.nullable
-        nulls, (x, y) = self.operands(a, b, both)
+        nulls, (x, y) = self.operands(a, b)
         # null sorts below every value and equals itself
-        null = (f"({x} is not None) {op} ({y} is not None)" if both
-                else test(not a.nullable, not b.nullable))
-        return f"({null} if {nulls} else {x} {op} {y})"
+        return (f"(({x} is not None) {op} ({y} is not None) if {nulls} "
+                f"else {x} {op} {y})")
 
     def predicate(self, pred):
         """Source of a WHERE or FILTER predicate; null equals itself."""
@@ -308,27 +296,26 @@ _AGG_SOURCE = {"count": "_len({0})", "sum": "_sum({0})", "min": "_min({0})",
                "max": "_max({0})", "avg": "_sum({0}) / _len({0})"}
 
 
-def _reduce(fn, tag, first, again):
-    """Source of the aggregate ``fn``, whose result has ``tag``, over a
-    group's non-null values, which ``first`` evaluates and ``again`` reads
-    again. No values give null except for COUNT. A real result is checked
-    to be finite, as a sum or its operands' arithmetic may have
-    overflowed."""
-    if fn == "count":
+def _aggregate(agg, emit):
+    """Source of the aggregate ``agg`` over the group's rows ``_s``: its
+    argument's non-null values, collected in row order, reduced. No values
+    give null except for COUNT. A real result is checked to be finite, as
+    a sum or its operands' arithmetic may have overflowed."""
+    if agg.arg is None:  # COUNT(*): the group's rows, and a row is never null
+        values = _Expr("_s", False, True)
+    else:
+        arg = emit.scalar(agg.arg)
+        values = _Expr(
+            f"[_x for _r in _s if (_x := {arg.code}) is not None]"
+            if arg.nullable else f"[{arg.code} for _r in _s]", False, False)
+    tag = _infer_tag(agg, emit.scope)
+    first, again = emit.twice(values)
+    if agg.fn == "count":
         return f"_len({first})"
-    value = _AGG_SOURCE[fn].format(again)
+    value = _AGG_SOURCE[agg.fn].format(again)
     if tag == REAL:
         value = f"_finite({value})"
     return f"({value} if {first} else None)"
-
-
-def aggregator(fn, tag):
-    """``values -> value`` of the aggregate ``fn`` whose result has
-    ``tag``, over a group's non-null values in row order."""
-    names = dict(_HELPERS)
-    exec(_code(f"def _agg(_l):\n    return {_reduce(fn, tag, '_l', '_l')}"),
-         names)
-    return names["_agg"]
 
 
 def _projection(stmt, emit):
@@ -350,69 +337,35 @@ def _projection(stmt, emit):
     if items is None:
         raise SchemaError("SELECT * cannot be combined with grouping")
     gidx = [scope.resolve(c) for c in stmt.group_by]
-    schema, cells = [], []  # cells: group key position or (fn, tag, argument)
+    schema, cells = [], []
     for it in items:
         if _has_agg(it.expr):
-            agg = it.expr
-            if not isinstance(agg, sql.Agg):
+            if not isinstance(it.expr, sql.Agg):
                 raise SchemaError("aggregates cannot be nested in arithmetic")
-            # COUNT(*) counts the group's rows, and a row is never null
-            arg = (_Expr("_r", False, True, True) if agg.arg is None
-                   else emit.scalar(agg.arg))
-            cells.append((agg.fn, _infer_tag(agg, scope), arg))
+            cells.append(_aggregate(it.expr, emit))
         elif not isinstance(it.expr, sql.Col) or scope.resolve(it.expr) not in gidx:
             raise SchemaError(
                 f"non-aggregate select item {sql.pp_expr(it.expr)!r} "
                 "is not in GROUP BY"
             )
         else:
-            cells.append(gidx.index(scope.resolve(it.expr)))
+            pos = gidx.index(scope.resolve(it.expr))
+            cells.append(f"_k[{pos}]" if len(gidx) > 1 else "_k")
         schema.append((it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope)))
-    return schema, _grouping(gidx, cells, emit)
+    return schema, _grouping(gidx, f"({_items(cells)})")
 
 
-def _grouping(gidx, cells, emit):
-    """Source of the GROUP BY loop. When no aggregate argument can raise,
-    one pass collects every argument's non-null values per group;
-    otherwise the loop collects each group's rows and the output reads
-    one argument at a time, so a group's errors come in item order."""
-    strict = any(not c[2].pure for c in cells if isinstance(c, tuple))
-    slots, collect, out = {}, [], []
-    for cell in cells:
-        if not isinstance(cell, tuple):
-            out.append(f"_k[{cell}]" if len(gidx) > 1 else "_k")
-            continue
-        fn, tag, arg = cell
-        if not strict:  # one list per distinct argument
-            if arg.code not in slots:
-                slot = slots[arg.code] = len(slots)
-                collect += ([f"_x = {arg.code}", "if _x is not None:",
-                             f"    _s[{slot}].append(_x)"] if arg.nullable
-                            else [f"_s[{slot}].append({arg.code})"])
-            values = _Expr(f"_s[{slots[arg.code]}]", False, True, True)
-        elif arg.code == "_r":  # COUNT(*): the group's rows
-            values = _Expr("_s", False, True, True)
-        elif arg.nullable:
-            values = _Expr(f"[_x for _r in _s if (_x := {arg.code}) is not None]",
-                           False, True, False)
-        else:
-            values = _Expr(f"[{arg.code} for _r in _s]", False, True, False)
-        out.append(_reduce(fn, tag, *emit.twice(values)))
-    state = f"({_items(['[]'] * len(slots))})"
-    cells = f"({_items(out)})"
+def _grouping(gidx, cells):
+    """Source of the GROUP BY loop, which collects each group's rows; the
+    output tuple ``cells`` reads one aggregate argument at a time over
+    them, so a group's errors come in item order."""
     if not gidx:
-        if strict:
-            return ["_s = _rows", f"_rows = [{cells}]"]
-        return [f"_s = {state}", "for _r in _rows:",
-                *("    " + line for line in collect), f"_rows = [{cells}]"]
+        return ["_s = _rows", f"_rows = [{cells}]"]
     key = (f"_r[{gidx[0]}]" if len(gidx) == 1
            else f"({', '.join(f'_r[{i}]' for i in gidx)})")
-    found = (["    if _s is None:", "        _groups[_k] = [_r]",
-              "    else:", "        _s.append(_r)"] if strict else
-             ["    if _s is None:", f"        _s = _groups[_k] = {state}",
-              *("    " + line for line in collect)])
     return ["_groups = {}", "_get = _groups.get", "for _r in _rows:",
-            f"    _k = {key}", "    _s = _get(_k)", *found,
+            f"    _k = {key}", "    _s = _get(_k)", "    if _s is None:",
+            "        _groups[_k] = [_r]", "    else:", "        _s.append(_r)",
             f"_rows = [{cells} for _k, _s in _groups.items()]"]
 
 

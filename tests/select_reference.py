@@ -2,8 +2,9 @@
 reference that property tests compare the engines against.
 
 ``compile_select`` builds one closure per expression node and calls it
-once per row; ``subarray_scan`` filters every cell of an array; the
-semiring loops call one function per term. Name resolution, type
+once per row; ``agg_loop`` groups an array's rows for AGG;
+``subarray_scan`` filters every cell of an array; the semiring loops
+call one function per term. Name resolution, type
 inference and the compile-time checks they make are shared with
 ``polydawg.engines.relational``, which did not change them.
 """
@@ -243,6 +244,17 @@ def subarray_scan(arr, ranges):
     rows = [coords + attrs for coords, attrs in sorted(arr.cells.items())]
     return [r for r in rows
             if all(lo <= r[i] <= hi for i, lo, hi in ranges)]
+
+
+def agg_loop(fn, tag, bidx, ai, rows):
+    """AGG's rows: ``rows`` in coordinate order grouped by the slots
+    ``bidx``, with ``fn`` of result ``tag`` over the slot ``ai``, in
+    group key order."""
+    aggregate = aggregator(fn, tag)
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[i] for i in bidx), []).append(row[ai])
+    return [gkey + (aggregate(groups[gkey]),) for gkey in sorted(groups)]
 
 
 SEMIRINGS = {

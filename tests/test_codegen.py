@@ -169,6 +169,8 @@ def test_run_time_errors_match_the_closure_compiler():
     queries = [
         "SELECT a / 0 AS q FROM t",
         "SELECT b + a / 0 AS q FROM t",
+        "SELECT b + 1 / 0 AS q FROM t",
+        "SELECT a FROM t WHERE b < 1 / 0",
         "SELECT (b + 1.0) * (a / 0) AS q FROM t",
         "SELECT a FROM t WHERE b < a / 0",
         "SELECT a FROM t WHERE b = 1.0 AND a / 0 > 1",
@@ -238,6 +240,39 @@ def test_generated_filters_match_the_closure_compiler():
         except PolydawgError as e:
             got = (type(e), str(e))
         assert got == want, (case, pred)
+        ran += want[0] == "ok"
+    assert ran > 250
+
+
+def test_array_agg_matches_the_reference_loop():
+    """AGG runs as a generated GROUP BY: the same groups in key order,
+    empty arrays and repeated BY dimensions included."""
+    rng = random.Random(1405)
+    ran = 0
+    for case in range(300):
+        arr = _random_array(rng, rng.randint(1, 3))
+        if rng.random() < 0.1:
+            arr.cells.clear()
+        schema = arr.export_schema()
+        ndims = len(arr.dims)
+        fn = rng.choice(["count", "sum", "avg", "min", "max"])
+        attr = rng.choice(["v", "w", "s"] if fn in ("count", "min", "max")
+                          else ["v", "w"])
+        by = [rng.randrange(ndims) for _ in range(rng.randint(0, 2))]
+        params = {"fn": fn, "attr": attr, "by": [f"d{i}" for i in by]}
+        out_schema, run = array_op("agg", params, "waves", schema, ndims)
+        tag = out_schema[-1][1]
+        ai = [n for n, _ in schema].index(attr)
+        try:
+            want = ("ok", ref.agg_loop(fn, tag, by, ai, _rows(arr)))
+        except PolydawgError as e:
+            want = (type(e), str(e))
+        try:
+            got = ("ok", run(arr))
+        except PolydawgError as e:
+            got = (type(e), str(e))
+        assert got == want, (case, params)
+        assert out_schema == [(f"d{i}", "int") for i in by] + [(fn, tag)]
         ran += want[0] == "ok"
     assert ran > 250
 
