@@ -7,19 +7,20 @@ real compare as numbers, and text against a number is an error. JOIN is
 a hash equi-join in which NULL keys never match. ORDER BY ties are
 broken by full-tuple lexicographic order so results are deterministic.
 
-Compiling writes the statement as the source of one Python function, a
-loop per stage: join probe, WHERE, projection or GROUP BY, ORDER BY. The
-source holds only slot indexes, operators from fixed tables and generated
-names; literals are values bound in its namespace, so no query text ever
-enters it. Aggregates reduce each group's non-null values, collected in
-row order, and division, overflow and nulls go through the same helpers
-as in the closure compiler it replaced (``tests/select_reference.py``),
-so every result and error is the same. The first run compiles the source
-through a bounded cache keyed by its text, shared by all the queries of
-one shape.
+Compiling writes the statement as the source of one Python function:
+one loop probes the join, tests WHERE and projects or groups each pair
+of rows, building a joined row only for ``SELECT *``; ORDER BY sorts,
+or with LIMIT keeps a top-k. The source holds only slot indexes,
+operators from fixed tables and generated names; literals are values
+bound in its namespace, so no query text ever enters it. GROUP BY keeps
+each aggregate's non-null values in row order, an argument's error waits
+until its group is reduced, and the helpers are those of the closure
+compiler it replaced (``tests/select_reference.py``), so every result
+and first error is the same. Code is compiled once per source text.
 """
 
 import functools
+import heapq
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -87,10 +88,14 @@ class RelationalEngine(Engine):
 # --- SELECT compilation -------------------------------------------------------
 
 class _Scope:
-    """Column slots of the concatenated row of all table refs."""
+    """Column slots of the table refs' rows, read as ``_l[i]`` or ``_x[j]``."""
 
     def __init__(self, tables):  # (binding, schema) per table ref
         self.columns = [(b, n, t) for b, schema in tables for n, t in schema]
+        self.n_left = len(tables[0][1])
+
+    def code(self, i):
+        return f"_l[{i}]" if i < self.n_left else f"_x[{i - self.n_left}]"
 
     def resolve(self, col):
         hits = [
@@ -153,8 +158,21 @@ _ARITH = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
           "/": "_divide({}, {})"}
 _CMP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _LOGIC = {"and": "and", "or": "or"}
+
+
+class _Failed(list):
+    """Values of an aggregate whose argument first raised ``self[0]`` in
+    a group; every reduction takes their length first, which raises it."""
+
+    def __len__(self):
+        raise self[0]
+
+
 _HELPERS = {"__builtins__": {}, "_divide": _divide, "_finite": finite,
-            "_len": len, "_sum": sum, "_min": min, "_max": max}
+            "_len": len, "_sum": sum, "_min": min, "_max": max,
+            "_fault": TypeMismatchError, "_nsmallest": heapq.nsmallest,
+            "_fail": lambda values, error: (
+                values if isinstance(values, _Failed) else _Failed([error]))}
 
 
 # each benchmark workload runs at most 9 shapes, and a code object takes
@@ -165,8 +183,8 @@ def _code(source):
     return compile(source, "<select>", "exec")
 
 
-# the source of a value over the row ``_r``; whether it may be null; and
-# whether it is a slot or a bound name, cheap to repeat
+# the source of a value over the rows ``_l`` and ``_x``; whether it may be
+# null; and whether it is a slot or a bound name, cheap to repeat
 _Expr = namedtuple("_Expr", "code nullable simple")
 
 
@@ -176,9 +194,9 @@ def _items(codes):
 
 
 class _Emitter:
-    """Writes a statement's expressions as source over the row ``_r``,
-    resolving and checking them as it goes. ``names`` binds each literal,
-    aggregate and helper to the generated name that stands for it."""
+    """Writes a statement's expressions as source over the rows ``_l`` and
+    ``_x``, resolving and checking them as it goes. ``names`` binds each
+    literal, aggregate and helper to the generated name that stands for it."""
 
     def __init__(self, scope):
         self.scope = scope
@@ -201,7 +219,7 @@ class _Emitter:
         """Arithmetic over text and an aggregate outside grouping raise
         here; only division by zero waits for a row."""
         if isinstance(expr, sql.Col):
-            return _Expr(f"_r[{self.scope.resolve(expr)}]", True, True)
+            return _Expr(self.scope.code(self.scope.resolve(expr)), True, True)
         if isinstance(expr, sql.Lit):
             return _Expr(self.bind(expr.value), False, True)
         if isinstance(expr, sql.Agg):
@@ -253,26 +271,25 @@ class _Emitter:
         raise TypeMismatchError("WHERE requires a predicate", pred.span)
 
 
-def _join(stmt, scope, n_left):
-    """Source of the join stage, ``JOIN ... ON a = b`` over ``_rows`` and
-    ``_rows1`` in left-major order. NULL keys never match, and an int key
-    matches a real one of equal value; a text key against a number raises
-    here."""
+def _join(stmt, scope):
+    """The lines that prepare ``JOIN ... ON a = b`` over ``_rows`` and
+    ``_rows1``, and the source of the rows ``_x`` each row ``_l`` meets.
+    NULL keys never match, and an int key matches a real one of equal
+    value; a text key against a number raises here."""
     _, lcol, rcol = stmt.join
     a, b = scope.resolve(lcol), scope.resolve(rcol)
     _check_comparable(scope.tag_at(a), scope.tag_at(b),
                       (lcol.span[0], rcol.span[1]))
-    if (a < n_left) == (b < n_left):  # both ON columns name one table
-        return [f"_rows = [_r for _l in _rows for _x in _rows1 "
-                f"for _r in (_l + _x,) if _r[{a}] is not None "
-                f"and _r[{a}] == _r[{b}]]"]
-    lkey, rkey = (a, b - n_left) if a < n_left else (b, a - n_left)
-    return ["_index = {}",
-            "for _x in _rows1:",
-            f"    if _x[{rkey}] is not None:",
-            f"        _index.setdefault(_x[{rkey}], []).append(_x)",
-            f"_rows = [_l + _x for _l in _rows "
-            f"for _x in _index.get(_l[{lkey}], ())]"]
+    x, y = scope.code(a), scope.code(b)
+    if (a < scope.n_left) == (b < scope.n_left):
+        # both ON columns name one table: filter it, then pair every row
+        row, rows = ("_l", "_rows") if a < scope.n_left else ("_x", "_rows1")
+        return [f"{rows} = [{row} for {row} in {rows} "
+                f"if {x} is not None and {x} == {y}]"], "_rows1"
+    lkey, rkey = (x, y) if a < b else (y, x)
+    return ["_index = {}", "for _x in _rows1:", f"    if {rkey} is not None:",
+            f"        _index.setdefault({rkey}, []).append(_x)"], \
+        f"_index.get({lkey}, ())"
 
 
 def _has_agg(expr):
@@ -296,53 +313,61 @@ _AGG_SOURCE = {"count": "_len({0})", "sum": "_sum({0})", "min": "_min({0})",
                "max": "_max({0})", "avg": "_sum({0}) / _len({0})"}
 
 
-def _aggregate(agg, emit):
-    """Source of the aggregate ``agg`` over the group's rows ``_s``: its
-    argument's non-null values, collected in row order, reduced. No values
-    give null except for COUNT. A real result is checked to be finite, as
-    a sum or its operands' arithmetic may have overflowed."""
-    if agg.arg is None:  # COUNT(*): the group's rows, and a row is never null
-        values = _Expr("_s", False, True)
-    else:
-        arg = emit.scalar(agg.arg)
-        values = _Expr(
-            f"[_x for _r in _s if (_x := {arg.code}) is not None]"
-            if arg.nullable else f"[{arg.code} for _r in _s]", False, False)
-    tag = _infer_tag(agg, emit.scope)
-    first, again = emit.twice(values)
-    if agg.fn == "count":
-        return f"_len({first})"
-    value = _AGG_SOURCE[agg.fn].format(again)
-    if tag == REAL:
+def _aggregate(agg, i, emit):
+    """Lines adding a row to ``_g[i]``, the state of ``agg`` in its group
+    (a count for COUNT(*), else the argument's non-null values in row
+    order); the state's initial source; and the aggregate's source."""
+    g = f"_g[{i}]"
+    if agg.arg is None:  # a row is never null
+        return [f"{g} += 1"], "0", g
+    arg = emit.scalar(agg.arg)
+    add = (f"if (_a := {arg.code}) is not None: {g}.append(_a)"
+           if arg.nullable else f"{g}.append({arg.code})")
+    lines = ["try:", f"    {add}", "except _fault as _e:",
+             f"    {g} = _fail({g}, _e)"]
+    value = _AGG_SOURCE[agg.fn].format(g)
+    if _infer_tag(agg, emit.scope) == REAL:  # arithmetic may overflow
         value = f"_finite({value})"
-    return f"({value} if {first} else None)"
+    return lines, "[]", (value if agg.fn == "count"
+                         else f"({value} if {g} else None)")
 
 
-def _projection(stmt, emit):
-    """Output schema and the source of the projection stage, grouping
-    included; no source for ``SELECT *``."""
+def _projection(stmt, emit, clauses):
+    """Output schema and the source of the projection or the GROUP BY loop
+    inside ``clauses``: the probe of the rows, then the WHERE test, in the
+    order of a comprehension's clauses."""
     scope, items = emit.scope, stmt.items
+    pair = "_l, _x" if stmt.join else "_l"
     if not stmt.group_by and not any(_has_agg(it.expr) for it in items or []):
-        if items is None:
-            return [(n, t) for _, n, t in scope.columns], []
-        schema = [(it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope))
-                  for it in items]
-        cells = []
-        for it, (_, tag) in zip(items, schema):
-            code = emit.scalar(it.expr).code
-            # a computed real may have overflowed
-            computed = tag == REAL and not isinstance(it.expr, sql.Col)
-            cells.append(f"_finite({code})" if computed else code)
-        return schema, [f"_rows = [({_items(cells)}) for _r in _rows]"]
+        if items is None:  # the joined row is built only to be output
+            schema = [(n, t) for _, n, t in scope.columns]
+            out = "_l + _x" if stmt.join else "_l"
+        else:
+            schema = [(it.alias or _derived_name(it.expr),
+                       _infer_tag(it.expr, scope)) for it in items]
+            cells = []
+            for it, (_, tag) in zip(items, schema):
+                code = emit.scalar(it.expr).code
+                # a computed real may have overflowed
+                computed = tag == REAL and not isinstance(it.expr, sql.Col)
+                cells.append(f"_finite({code})" if computed else code)
+            out = f"({_items(cells)})"
+        if stmt.where is not None and not all(
+                isinstance(it.expr, (sql.Col, sql.Lit)) for it in items or []):
+            # WHERE raises for any row before a projection does
+            return schema, [f"_rows = [({pair}) {' '.join(clauses)}]",
+                            f"_rows = [{out} for {pair} in _rows]"]
+        return schema, [f"_rows = [{out} {' '.join(clauses)}]"]
     if items is None:
         raise SchemaError("SELECT * cannot be combined with grouping")
     gidx = [scope.resolve(c) for c in stmt.group_by]
-    schema, cells = [], []
+    schema, cells, states, body = [], [], [], []
     for it in items:
         if _has_agg(it.expr):
             if not isinstance(it.expr, sql.Agg):
                 raise SchemaError("aggregates cannot be nested in arithmetic")
-            cells.append(_aggregate(it.expr, emit))
+            add, state, cell = _aggregate(it.expr, len(states), emit)
+            body, states, cells = body + add, states + [state], cells + [cell]
         elif not isinstance(it.expr, sql.Col) or scope.resolve(it.expr) not in gidx:
             raise SchemaError(
                 f"non-aggregate select item {sql.pp_expr(it.expr)!r} "
@@ -352,26 +377,24 @@ def _projection(stmt, emit):
             pos = gidx.index(scope.resolve(it.expr))
             cells.append(f"_k[{pos}]" if len(gidx) > 1 else "_k")
         schema.append((it.alias or _derived_name(it.expr), _infer_tag(it.expr, scope)))
-    return schema, _grouping(gidx, f"({_items(cells)})")
-
-
-def _grouping(gidx, cells):
-    """Source of the GROUP BY loop, which collects each group's rows; the
-    output tuple ``cells`` reads one aggregate argument at a time over
-    them, so a group's errors come in item order."""
-    if not gidx:
-        return ["_s = _rows", f"_rows = [{cells}]"]
-    key = (f"_r[{gidx[0]}]" if len(gidx) == 1
-           else f"({', '.join(f'_r[{i}]' for i in gidx)})")
-    return ["_groups = {}", "_get = _groups.get", "for _r in _rows:",
-            f"    _k = {key}", "    _s = _get(_k)", "    if _s is None:",
-            "        _groups[_k] = [_r]", "    else:", "        _s.append(_r)",
-            f"_rows = [{cells} for _k, _s in _groups.items()]"]
+    # each row adds itself to its group, and each group gives one row
+    init, out = f"[{', '.join(states)}]", f"({_items(cells)})"
+    head = [f"_g = {init}"]
+    if gidx:
+        keys = [scope.code(i) for i in gidx]
+        head = ["_groups = {}", "_get = _groups.get"]
+        body = [f"_k = {keys[0] if len(keys) == 1 else f'({_items(keys)})'}",
+                "_g = _get(_k)", "if _g is None:",
+                f"    _g = _groups[_k] = {init}"] + body
+        out += " for _k, _g in _groups.items()"
+    pad = "    " * len(clauses)
+    return schema, (head + [f"{'    ' * d}{c}:" for d, c in enumerate(clauses)]
+                    + [pad + line for line in body] + [f"_rows = [{out}]"])
 
 
 def _ordering(stmt, schema, emit):
-    """Source of the ORDER BY and LIMIT stage: a sort by ``row_sort_key``
-    of the ORDER BY columns and then of the whole row, written out."""
+    """Source of the ORDER BY and LIMIT stage: a sort, or a top-k for LIMIT,
+    by ``row_sort_key`` of the ORDER BY columns and then of the whole row."""
     names = [n for n, _ in schema]
     keys = []
     for c in stmt.order_by:
@@ -382,10 +405,10 @@ def _ordering(stmt, schema, emit):
         return []
     key = "".join(f"_r[{i}] is not None, _r[{i}], "
                   for i in keys + list(range(len(schema))))
-    lines = [f"_rows.sort(key=lambda _r: ({key}))"]
-    if stmt.limit is not None:
-        lines.append(f"_rows = _rows[:{emit.bind(stmt.limit)}]")
-    return lines
+    if stmt.limit is None:
+        return [f"_rows.sort(key=lambda _r: ({key}))"]
+    return [f"_rows = _nsmallest({emit.bind(stmt.limit)}, _rows, "
+            f"key=lambda _r: ({key}))"]
 
 
 @dataclass
@@ -417,17 +440,14 @@ def compile_select(stmt, table_schemas):
         raise SchemaError(f"duplicate table binding {refs[1].binding!r}")
     emit = _Emitter(_Scope([(ref.binding, table_schemas[ref.binding])
                             for ref in refs]))
-    stages = []
+    stages, clauses = [], ["for _l in _rows"]
     if stmt.join:
-        stages += _join(stmt, emit.scope,
-                        len(table_schemas[stmt.table.binding]))
+        stages, rows1 = _join(stmt, emit.scope)
+        clauses.append(f"for _x in {rows1}")
     if stmt.where is not None:
-        stages.append(
-            f"_rows = [_r for _r in _rows if {emit.predicate(stmt.where)}]")
-    schema, project = _projection(stmt, emit)
-    # a copy, so a result never shares a stored relation's list
-    stages += project or ([] if stages else ["_rows = [*_rows]"])
-    stages += _ordering(stmt, schema, emit)
+        clauses.append(f"if {emit.predicate(stmt.where)}")
+    schema, project = _projection(stmt, emit, clauses)
+    stages += project + _ordering(stmt, schema, emit)
     source = "\n    ".join(
         ["def _select(_rows, _rows1):", *stages, "return _rows"])
     return CompiledSelect(schema, source, emit.names)

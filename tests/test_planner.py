@@ -255,3 +255,33 @@ def test_plans_of_generated_queries_are_pinned(env):
                   [(c.alias, c.engine_id, c.query) for c in containers]]
         digest.update(repr(record).encode() + b"\n")
     assert digest.hexdigest() == GENERATED_PLANS_SHA256
+
+
+def test_only_conjuncts_naming_one_table_alone_are_pushed_down(env):
+    # an unqualified column of the fetched table is pushed; a column
+    # qualified with the other binding, or an unqualified one of the
+    # other table, keeps its conjunct in the remainder's SELECT
+    containers, remainder, _ = plan(
+        env,
+        "relational(SELECT p.id FROM patients p JOIN "
+        "cast(text(grep(notes, 'fever')), relational) n ON p.id = n.r "
+        "WHERE age > 60 AND n.r > 'p00002' AND r < 'p00090')")
+    (rel,) = [c for c in containers if c.engine_id == "rel"]
+    assert "age > 60" in rel.query
+    assert "p00002" not in rel.query and "p00090" not in rel.query
+    (select,) = [n for n in remainder.nodes if n.kind == "select"]
+    assert "n.r > ?" in select.norm() and "r < ?" in select.norm()
+
+
+@pytest.mark.parametrize("text, norm", [
+    ("text(grep(cast(text(scan(notes, rows='p00001':'p00009')), text), "
+     "'fever'))", "grep@text[grep(r0,?)]"),
+    ("array(agg(sum(v), cast(array(subarray(waveform, patient=0:3, t=0:5)),"
+     " array), by(patient)))", "agg@array[agg(r0,sum(v),by(patient))]"),
+    ("array(subarray(cast(array(filter(waveform, v > 70.0)), array), "
+     "patient=0:3))", "subarray@array[subarray(r0,patient=?)]"),
+])
+def test_text_and_array_remainder_nodes_norm_without_literals(env, text, norm):
+    _, remainder, plans = plan(env, text)
+    assert [n.norm() for n in remainder.nodes][1:] == [norm]
+    assert plans
