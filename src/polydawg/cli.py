@@ -3,14 +3,14 @@
 Subcommands: load, query [--training], explain, datagen, monitor
 dump|stats [structure], repl. Catalog contents persist between
 invocations as a snapshot under the configured data directory. A call
-reads only the snapshot's manifest and parses an object's file the first
-time a query names it; ``load`` writes only the new object's file and
-the manifest, each through a temporary file renamed into place, so a
-process that dies mid-load leaves the previous snapshot whole (there is
-no fsync, so a power loss can still tear it). The monitor log persists
-on its own as an append-only file. A directory is created by the first
-write to it, a snapshot or a monitor record, so a command that writes
-nothing leaves none behind.
+reads only the snapshot's manifest and journal and parses an object's
+file the first time a query names it; ``load`` writes the new object's
+file through a temporary file renamed into place, then appends a line
+to the journal, so a process that dies mid-load leaves the previous
+snapshot or the new one (there is no fsync, so a power loss can still
+tear it). The monitor log persists on its own as an append-only file. A
+directory is created by the first write to it, a snapshot or a monitor
+record, so a command that writes nothing leaves none behind.
 
 Exit codes: 0 success; 2 query/input error; 3 internal-consistency error.
 """

@@ -9,16 +9,22 @@ catalog snapshots share that one format, written by ``write_manifest``
 and ``EngineCatalog.snapshot`` and read by ``EngineCatalog.load_manifest``
 and ``restore``, so a CLI session can pick up where the last one stopped.
 
-``restore`` reads only the manifest: each object stays pending on its
-engine as its CIF path and load options, and ``Engine._get`` parses and
-builds it the first time anything reads it. ``snapshot`` writes only the
-objects that have no file in the directory yet, then the manifest. Every
-file goes to ``<file>.tmp`` first and is renamed over the old one, the
-manifest last, so a process that dies mid-write leaves the previous
-snapshot whole. Nothing is fsynced, so this does not hold against a
-power loss.
+``restore`` reads the manifest and then merges its journal,
+``manifest.journal``, whose lines each hold a compact manifest of what a
+snapshot changed, a removed name mapped to null; the last line wins, and
+a torn final line is dropped and truncated. Each object stays pending on
+its engine as its CIF path and load options, and ``Engine._get`` parses
+and builds it the first time anything reads it. ``snapshot`` writes only
+the objects that have no file in the directory yet, each to ``<file>.tmp``
+renamed over the old one, and then appends its journal line. Once the
+journal outgrows the manifest, or for a directory the catalog did not
+restore, it writes the whole manifest that way and deletes the journal; a
+merge is idempotent, so a crash between the two changes nothing. A process
+that dies mid-write leaves the old snapshot or the new one. Nothing is
+fsynced, so this does not hold against a power loss.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -28,6 +34,7 @@ from ..canonical import load_cif, save_cif
 from ..errors import CatalogError, PolydawgError
 
 MANIFEST = "manifest.json"  # the file that names a directory's objects
+JOURNAL = "manifest.journal"  # the changes made since the manifest
 # what a query can name; an object's snapshot file is named after it
 _OBJECT_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -128,8 +135,8 @@ class EngineCatalog:
             self.engines[eng.engine_id] = eng
         self._owners = {}  # object name -> engine id
         self._temps = set()
-        # directory -> {name: manifest entry} of the objects whose current
-        # version has a file there
+        # directory -> {name: manifest entry} of its snapshot; an entry is
+        # None once this catalog's object of that name has no file there
         self._saved = {}
 
     def engine(self, engine_id):
@@ -174,7 +181,8 @@ class EngineCatalog:
         del self._owners[name]
         self._temps.discard(name)
         for saved in self._saved.values():
-            saved.pop(name, None)
+            if name in saved:
+                saved[name] = None
 
     def drop_temporaries(self):
         for name in list(self._temps):
@@ -187,18 +195,30 @@ class EngineCatalog:
     # --- manifests -------------------------------------------------------
 
     def snapshot(self, directory):
-        """Make ``directory`` a manifest of every non-temporary object,
-        writing only the objects that have no file there yet."""
+        """Make ``directory`` a snapshot of every non-temporary object,
+        writing only the objects that have no file there yet and then a
+        journal line, or the manifest, of what changed."""
         os.makedirs(directory, exist_ok=True)
         key = os.path.abspath(directory)
-        saved = self._saved.get(key, {})
+        saved = self._saved.get(key)
         entries = {}
         for name, eid in sorted(self._owners.items()):
             if name not in self._temps:
-                entries[name] = saved.get(name) or _write_object(
+                entries[name] = (saved or {}).get(name) or _write_object(
                     directory, name, eid, self.export(eid, name),
                     self.engines[eid].load_options_for(name))
-        _write_entries(directory, entries)
+        if saved is None:
+            _write_entries(directory, entries)
+        else:
+            changes = {name: entry for name, entry in entries.items()
+                       if saved.get(name) is not entry}
+            changes.update(dict.fromkeys(saved.keys() - entries.keys()))
+            if changes:
+                journal = os.path.join(directory, JOURNAL)
+                _write_line(journal, changes)
+                if os.path.getsize(journal) > os.path.getsize(
+                        os.path.join(directory, MANIFEST)):
+                    _write_entries(directory, entries)
         self._saved[key] = entries
 
     def restore(self, directory):
@@ -208,6 +228,12 @@ class EngineCatalog:
         if not os.path.exists(path):
             return
         entries = self._read_manifest(path)
+        with contextlib.suppress(FileNotFoundError):
+            entries.update(self._read_manifest(
+                os.path.join(directory, JOURNAL), journal=True))
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path + ".tmp")  # left by a manifest write that died
+        entries = {name: e for name, e in entries.items() if e is not None}
         for name, entry in sorted(entries.items()):
             self._claim(entry["engine"], name).load_pending(
                 name, os.path.join(directory, entry["file"]),
@@ -227,32 +253,45 @@ class EngineCatalog:
             loaded.append((name, entry["engine"], len(table.rows)))
         return loaded
 
-    def _read_manifest(self, path):
+    def _read_manifest(self, path, journal=False):
         """``{name: {"engine", "file", "options"}}`` from the manifest at
-        ``path``, each entry checked as an object this catalog can add."""
-        try:
-            with open(path, encoding="ascii") as fh:
-                manifest = json.load(fh)
-        except ValueError as e:
-            raise CatalogError(f"{path}: not a manifest: {e}") from None
-        if not isinstance(manifest, dict):
-            raise CatalogError(
-                f"{path}: a manifest maps each object name to its entry")
-        for name, entry in manifest.items():
-            if not (isinstance(entry, dict)
-                    and isinstance(entry.get("engine"), str)
-                    and isinstance(entry.get("file"), str)
-                    and isinstance(entry.get("options", {}), dict)):
-                raise CatalogError(
-                    f"{path}: entry {name!r} needs 'engine' and 'file' "
-                    f"strings and optional 'options'")
-            entry.setdefault("options", {})
+        ``path``, each entry checked as an object this catalog can add; a
+        ``journal``'s lines are merged in order, a name may map to null,
+        and a torn final line is dropped and truncated away."""
+        with open(path, "rb") as fh:
+            lines = fh.readlines() if journal else [fh.read()]
+        if journal and lines and not lines[-1].endswith(b"\n"):
+            os.truncate(path, sum(map(len, lines[:-1])))
+            lines.pop()
+        merged = {}
+        for lineno, line in enumerate(lines, 1):
+            where = f"{path}: line {lineno}" if journal else path
             try:
-                self._claim(entry["engine"], name)
-                _check_load_options(entry["options"])
-            except CatalogError as e:
-                raise CatalogError(f"{path}: entry {name!r}: {e}") from None
-        return manifest
+                manifest = json.loads(line.decode("ascii"))
+            except ValueError as e:
+                raise CatalogError(f"{where}: not a manifest: {e}") from None
+            if not isinstance(manifest, dict):
+                raise CatalogError(
+                    f"{where}: a manifest maps each object name to its entry")
+            for name, entry in manifest.items():
+                if entry is None and journal:  # a removed name
+                    continue
+                if not (isinstance(entry, dict)
+                        and isinstance(entry.get("engine"), str)
+                        and isinstance(entry.get("file"), str)
+                        and isinstance(entry.get("options", {}), dict)):
+                    raise CatalogError(
+                        f"{where}: entry {name!r} needs 'engine' and 'file' "
+                        f"strings and optional 'options'")
+                entry.setdefault("options", {})
+                try:
+                    self._claim(entry["engine"], name)
+                    _check_load_options(entry["options"])
+                except CatalogError as e:
+                    raise CatalogError(
+                        f"{where}: entry {name!r}: {e}") from None
+            merged.update(manifest)
+        return merged
 
 
 def _check_load_options(options):
@@ -292,16 +331,20 @@ def _write_object(directory, name, engine_id, table, options):
     return {"engine": engine_id, "file": fname, "options": options}
 
 
-def _write_entries(directory, entries):
-    """Write the manifest of ``entries``; returns its path."""
-    def dump(path):
-        with open(path, "w", encoding="ascii") as fh:
-            # compact: every snapshot rewrites the whole manifest
-            json.dump(entries, fh, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
+def _write_line(path, manifest, mode="a"):
+    """Append, or with mode "w" write, ``manifest`` as one compact line."""
+    with open(path, mode, encoding="ascii") as fh:
+        fh.write(json.dumps(manifest, separators=(",", ":"), sort_keys=True)
+                 + "\n")
 
+
+def _write_entries(directory, entries):
+    """Write the manifest of ``entries``, then delete the journal it
+    replaces; returns its path."""
     path = os.path.join(directory, MANIFEST)
-    _replace(path, dump)
+    _replace(path, lambda tmp: _write_line(tmp, entries, "w"))
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(directory, JOURNAL))
     return path
 
 

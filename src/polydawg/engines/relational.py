@@ -184,8 +184,10 @@ def _code(source):
 
 
 # the source of a value over the rows ``_l`` and ``_x``; whether it may be
-# null; and whether it is a slot or a bound name, cheap to repeat
-_Expr = namedtuple("_Expr", "code nullable simple")
+# null; whether it is a slot or a bound name, cheap to repeat; and, for
+# arithmetic over nullable operands, its null test and its value otherwise
+_Expr = namedtuple("_Expr", "code nullable simple null value",
+                   defaults=(None, None))
 
 
 def _items(codes):
@@ -230,8 +232,9 @@ class _Emitter:
         if not (a.nullable or b.nullable):
             return _Expr(_ARITH[expr.op].format(a.code, b.code), False, False)
         nulls, (x, y) = self.operands(a, b)
-        return _Expr(f"(None if {nulls} else {_ARITH[expr.op].format(x, y)})",
-                     True, False)
+        value = _ARITH[expr.op].format(x, y)
+        return _Expr(f"(None if {nulls} else {value})", True, False, nulls,
+                     value)
 
     def operands(self, a, b):
         """The test that ``a`` or ``b`` is null, and the source reading
@@ -321,7 +324,8 @@ def _aggregate(agg, i, emit):
     if agg.arg is None:  # a row is never null
         return [f"{g} += 1"], "0", g
     arg = emit.scalar(agg.arg)
-    add = (f"if (_a := {arg.code}) is not None: {g}.append(_a)"
+    add = (f"if not ({arg.null}): {g}.append({arg.value})" if arg.null else
+           f"if (_a := {arg.code}) is not None: {g}.append(_a)"
            if arg.nullable else f"{g}.append({arg.code})")
     lines = ["try:", f"    {add}", "except _fault as _e:",
              f"    {g} = _fail({g}, _e)"]

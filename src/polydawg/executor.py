@@ -346,11 +346,7 @@ class System:
                             "re-running with --training"
                         )
         if plan is None:
-            plan = self.rng.choice(pq.plans)
-            case = "random"
-            for other in pq.plans:
-                if other.id != plan.id:
-                    self.monitor.enqueue(pq.signature, other, pq)
+            plan, case = self.rng.choice(pq.plans), "random"
 
         result, runtime_ms = self.execute_plan(pq, plan)
         self.monitor.record(mon.PerfRecord(
@@ -358,6 +354,10 @@ class System:
             signature=pq.signature, plan_id=plan.id,
             runtime_ms=runtime_ms, usage=usage_now,
         ))
+        if case == "random":  # the other plans, once this one has run
+            for other in pq.plans:
+                if other.id != plan.id:
+                    self.monitor.enqueue(pq.signature, other, pq)
         return QueryReport(result=result, plan_id=plan.id,
                            runtime_ms=runtime_ms, phase="production",
                            case=case, match=near,

@@ -7,32 +7,33 @@ percent-escaped so tabs/newlines in payloads cannot corrupt framing:
     ts  phase  structure  objects  constants  plan-id  runtime-ms  usage
 
 ``objects`` and ``constants`` join their elements with ';'; ``usage`` is
-``engine=busyfraction`` pairs joined with ','. Reopening a log replays
-every line, so history survives restarts byte-for-byte. Replay builds one
-``Signature`` object per distinct signature text and shares it between
-that signature's records and the index; every line's timestamp, runtime
-and usage are still parsed and checked. A final line without its newline
-is an append that was cut short: replay drops it and truncates the log to
-the last complete line.
+``engine=busyfraction`` pairs joined with ','. Opening a log checks each
+line with one pattern, ``_LINE``, and files its raw text under its bucket
+(below); a line the pattern refuses goes to ``_parse_line``, which raises
+its error or accepts it. A bucket is built when first touched, and a
+record parsed when first read, sharing its member's one ``Signature``. A
+final line without its newline is an append that was cut short: opening
+drops it and truncates the log. Creating the log syncs its directory.
 
 ``MonitorDB.nearest`` finds the most similar recorded signature without
 scoring every one. Signatures are bucketed by structure hash, object set
 and number of distinct constants. A member shares at most the smaller of
 its own and the probe's constant counts, out of at least the larger, which
-bounds the similarity of every member of a bucket; buckets are visited in
-order of that bound until it falls below the best score found. A bucket
-numbers its members in the order they joined and keeps, per member, its
-signature and the indexes of its records, so a lookup counts and compares
-ints and never hashes a signature. Inside a bucket an inverted index from
-each constant to the members holding it gives the shared-constant count of
-every member that overlaps the probe. Members with equal counts score the
-same, so only the one recorded most recently can win, and the bucket's
-most recent member stands in for those that share no constant beyond the
-ones every member holds. The result equals scoring every signature, ties
-to the most recent included.
+bounds the similarity of every member of a bucket; buckets are visited, and
+built, in order of that bound until it falls below the best score found. A
+bucket numbers its members in the order they joined, keyed by their raw
+constants field, and keeps, per member, its signature and the indexes of
+its records, so a lookup counts and compares ints. Inside a bucket an
+inverted index from each raw constant to the members holding it gives the
+shared-constant count of every member that overlaps the probe. Members
+with equal counts score the same, so only the one recorded most recently
+can win, and the bucket's most recent member stands in for those that
+share no constant beyond the ones every member holds. The result equals
+scoring every signature, ties to the most recent included.
 """
 
 import os
+import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from urllib.parse import quote, unquote
@@ -65,6 +66,10 @@ def _esc(text):
     return quote(text, safe="")
 
 
+def _raw(constants):  # the constants field as the log spells it
+    return _esc(";".join(_esc(c) for c in constants))
+
+
 def _fmt(record):
     sig = record.signature
     fields = [
@@ -80,20 +85,17 @@ def _fmt(record):
     return "\t".join(_esc(f) for f in fields)
 
 
-def _parse_line(line, lineno, signatures, texts):
-    """The record on one log line. ``signatures`` maps the raw structure,
-    objects and constants fields to the Signature built from them, and
-    ``texts`` maps raw phase and plan-id fields to one shared str; both
-    live for one replay, so each distinct signature is built once."""
+def _parse_line(line, lineno, texts, signature=None):
+    """The record on one log line. ``texts`` maps raw phase and plan-id
+    fields to one shared str; ``signature``, when given, is the one the
+    line's signature fields spell."""
     parts = line.split("\t")
     if len(parts) != _FIELDS:
         raise MonitorError(f"log line {lineno}: expected {_FIELDS} fields")
     try:
-        key = (parts[2], parts[3], parts[4])
-        signature = signatures.get(key)
         if signature is None:
-            structure, objects, constants = (unquote(p) for p in key)
-            signature = signatures[key] = Signature(
+            structure, objects, constants = map(unquote, parts[2:5])
+            signature = Signature(
                 structure,
                 frozenset(unquote(o) for o in objects.split(";") if o),
                 tuple(unquote(c) for c in constants.split(";") if c))
@@ -114,6 +116,22 @@ def _parse_line(line, lineno, signatures, texts):
         )
     except (ValueError, IndexError) as e:
         raise MonitorError(f"log line {lineno}: {e}") from e
+
+
+# A line as ``_fmt`` writes it, capturing its raw structure, objects and
+# constants; ``quote`` spells each ASCII constant one way, so raw is a key.
+_FLOAT = r"-?(?:[0-9]+(?:\.[0-9]*)?(?:e(?:-|%2B)?[0-9]+)?|inf|nan)"
+_BYTE = r"%25(?:[01][0-9A-F]|2[0-9A-CF]|3[A-F]|40|5[B-E]|60|7[B-DF])"
+_CONSTANT = rf"(?:[-.0-9A-Z_a-z~]|{_BYTE})[-.0-9A-Z_a-z~]*(?:{_BYTE}" \
+    rf"[-.0-9A-Z_a-z~]*)*"
+_USAGE = rf"[-.0-9A-Z_a-z~]*%3D{_FLOAT}"
+_LINE = re.compile(
+    rf"{_FLOAT}\t[^\t]*\t([^\t]*)\t([^\t]*)\t((?:{_CONSTANT}(?:%3B"
+    rf"{_CONSTANT})*)?)\t[^\t]*\t{_FLOAT}\t(?:{_USAGE}(?:%2C{_USAGE})*)?\n")
+
+
+def _key(sig):
+    return (sig.structure, sig.objects, len(set(sig.constants)))
 
 
 def jaccard(a, b):
@@ -169,19 +187,34 @@ class _Bucket:
         self.structure = structure
         self.objects = objects
         self.size = size
-        self.signatures = []  # member -> its signature
+        self.members = {}  # raw constants field -> member
+        self.signatures = []  # member -> its signature, or raw field till read
         self.history = []  # member -> indexes of its records, oldest first
-        self.postings = defaultdict(list)  # constant -> members holding it
+        self.postings = defaultdict(list)  # raw constant -> members holding it
         self.latest = None  # the most recently recorded member
+        self.filed = []  # indexes of the records filed at open, not yet added
 
-    def add(self, signature, constants):
-        """Number a new member and return its number."""
-        member = len(self.signatures)
-        self.signatures.append(signature)
-        self.history.append([])
-        for constant in constants:
-            self.postings[constant].append(member)
+    def add(self, raw, i, signature=None):
+        """Add record ``i`` to the member whose raw constants are ``raw``."""
+        member = self.members.get(raw)
+        if member is None:
+            member = self.members[raw] = len(self.signatures)
+            self.signatures.append(signature or raw)
+            self.history.append([])
+            # raw "" is no constant, or, with size 1, one empty one
+            for constant in set(raw.split("%3B")) if raw or self.size else ():
+                self.postings[constant].append(member)
+        self.history[member].append(i)
+        self.latest = member
         return member
+
+    def signature(self, member):
+        found = self.signatures[member]
+        if isinstance(found, str):
+            found = self.signatures[member] = Signature(
+                self.structure, self.objects,
+                tuple(unquote(c) for c in unquote(found).split(";") if c))
+        return found
 
     def bound(self, signature, probe, weights):
         """The highest similarity any member can have to ``signature``,
@@ -223,9 +256,10 @@ class MonitorDB:
     def __init__(self, path=None, weights=None):
         self.path = path
         self.weights = weights
-        self.records = []
+        # log order: each PerfRecord, or the raw line of one not yet read
+        self._records = []
         self._buckets = {}  # (structure, objects, constant count) -> _Bucket
-        self._bucket_of = {}  # signature -> (its _Bucket, its member number)
+        self._texts = {}  # raw phase or plan-id field -> its shared str
         self.pending = []  # (signature, plan, context) awaiting background run
         self.torn_tail = ""  # the incomplete final line replay dropped
         if path and os.path.exists(path):
@@ -233,75 +267,115 @@ class MonitorDB:
 
     def _replay(self):
         complete = 0  # characters (ASCII, so bytes) in complete lines
-        signatures, texts = {}, {}
+        seen = {}  # raw (structure, objects, constant count) -> _Bucket
         with open(self.path, encoding="ascii", newline="\n") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.endswith("\n"):
                     self.torn_tail = line
                     break
                 complete += len(line)
-                if line != "\n":
-                    self._index(_parse_line(line[:-1], lineno, signatures,
-                                            texts))
+                match = _LINE.match(line)
+                if match:
+                    structure, objects, constants = match.groups()
+                    key = (structure, objects, len(set(
+                        constants.split("%3B"))) if constants else 0)
+                    bucket = seen.get(key)
+                    if bucket is None:
+                        bucket = seen[key] = self._bucket((unquote(
+                            structure), frozenset(o for o in map(
+                                unquote, unquote(objects).split(";")) if o),
+                            key[2]))
+                elif line != "\n":
+                    line = _parse_line(line[:-1], lineno, self._texts)
+                    bucket = self._bucket(_key(line.signature))
+                else:
+                    continue
+                bucket.filed.append(len(self._records))
+                self._records.append(line)
         if self.torn_tail:
             # the next append must start on a fresh line
             os.truncate(self.path, complete)
 
-    def _index(self, record):
-        sig = record.signature
-        found = self._bucket_of.get(sig)
-        if found is None:
-            constants = set(sig.constants)
-            key = (sig.structure, sig.objects, len(constants))
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self._buckets[key] = _Bucket(*key)
-            found = self._bucket_of[sig] = (bucket, bucket.add(sig, constants))
-        bucket, member = found
-        if record.signature is not bucket.signatures[member]:
-            # one Signature object per signature: the one the index holds
-            record = replace(record, signature=bucket.signatures[member])
-        bucket.history[member].append(len(self.records))
-        bucket.latest = member
-        self.records.append(record)
+    def _bucket(self, key):
+        return self._buckets.get(key) or self._buckets.setdefault(
+            key, _Bucket(*key))
+
+    def _build(self, bucket):
+        """``bucket``, with every record filed under it at open added."""
+        for i in bucket.filed:
+            line = self._records[i]
+            bucket.add(line.split("\t", 5)[4] if isinstance(line, str)
+                       else _raw(line.signature.constants), i)
+        bucket.filed.clear()
+        return bucket
 
     def record(self, record):
-        """Index a record and append it durably to the log."""
+        """Index a record and append it durably to the log. The record
+        that creates the log syncs its directory too."""
         if self.path:
-            if not self.records:  # the log's directory may not exist yet
-                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            directory = os.path.dirname(self.path) or "."
+            created = not self._records and not os.path.exists(self.path)
+            if created:  # the log's directory may not exist yet
+                os.makedirs(directory, exist_ok=True)
             with open(self.path, "a", encoding="ascii") as fh:
                 fh.write(_fmt(record) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-        self._index(record)
+            if created:  # a power loss must not lose the file
+                os.fsync(fd := os.open(directory, os.O_RDONLY))
+                os.close(fd)
+        sig = record.signature
+        self._build(self._bucket(_key(sig))).add(
+            _raw(sig.constants), len(self._records), sig)
+        self._records.append(record)
 
     # --- lookups -----------------------------------------------------------
 
+    @property
+    def records(self):
+        """Every record, in log order."""
+        for signature in self.signatures():
+            self.records_for(signature)
+        return list(self._records)
+
     def signatures(self):
-        return list(self._bucket_of)
+        """Every recorded signature, in the order of its first record."""
+        first = {history[0]: (bucket, member)
+                 for bucket in self._buckets.values()
+                 for member, history in enumerate(self._build(bucket).history)}
+        return [bucket.signature(member)
+                for _, (bucket, member) in sorted(first.items())]
 
     def records_for(self, signature):
-        found = self._bucket_of.get(signature)
-        if found is None:
+        bucket = self._buckets.get(_key(signature))
+        member = bucket and self._build(bucket).members.get(
+            _raw(signature.constants))
+        if member is None:
             return []
-        bucket, member = found
-        return [self.records[i] for i in bucket.history[member]]
+        signature, records = bucket.signature(member), self._records
+        for i in bucket.history[member]:
+            if isinstance(records[i], str):  # the pattern accepted it
+                records[i] = _parse_line(records[i][:-1], 0, self._texts,
+                                         signature)
+            elif records[i].signature is not signature:  # share the member's
+                records[i] = replace(records[i], signature=signature)
+        return [records[i] for i in bucket.history[member]]
 
     def nearest(self, signature):
         """(signature, similarity) of the closest recorded signature; ties
         go to the signature recorded most recently."""
-        probe = set(signature.constants)
+        probe = set(_raw(signature.constants).split("%3B")) \
+            if signature.constants else set()
         ranked = sorted(
             ((b.bound(signature, probe, self.weights), b)
              for b in self._buckets.values()),
             key=lambda pair: pair[0], reverse=True)
-        best = None  # (score, recency, signature)
+        best = None  # (score, recency, bucket, member)
         for bound, bucket in ranked:
             # '<', not '<=': an equal score can still win on recency
             if best is not None and bound < best[0]:
                 break
-            common, counts = bucket.shared_counts(probe)
+            common, counts = self._build(bucket).shared_counts(probe)
             # members sharing as many constants score the same, so only
             # the most recent of them can win
             by_shared = {}  # shared count -> (recency, member)
@@ -317,10 +391,10 @@ class MonitorDB:
                 score = _weighted(self.weights, same, objects,
                                   shared / union if union else 1.0)
                 if best is None or (score, recency) > best[:2]:
-                    best = (score, recency, bucket.signatures[member])
+                    best = (score, recency, bucket, member)
         if best is None:
             return None, 0.0
-        return best[2], best[0]
+        return best[2].signature(best[3]), best[0]
 
     def best_plan(self, signature):
         """Plan id with the lowest mean runtime over successful runs; ties
@@ -371,7 +445,7 @@ class MonitorDB:
     def stats(self):
         """Per-signature summary used by the CLI."""
         out = []
-        for sig in self._bucket_of:
+        for sig in self.signatures():
             recs = self.records_for(sig)
             ok = [r for r in recs if r.phase != "failed"]
             means = _plan_means(ok)

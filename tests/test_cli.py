@@ -5,6 +5,7 @@ import pytest
 
 from polydawg import canonical, cli
 from polydawg.canonical import CanonicalTable, save_cif
+from polydawg.engines import base
 from polydawg.errors import InternalConsistencyError
 
 
@@ -262,8 +263,9 @@ def test_load_writes_only_its_object_and_the_manifest(workspace, capsys):
                        capsys)
     assert code == 0, err
     after = _data_files(workspace)
+    # the manifest stays; the load appends one line to its journal
     assert {name for name in after if before.get(name) != after[name]} == {
-        "extra.cif", "manifest.json"}
+        "extra.cif", "manifest.journal"}
 
 
 def test_a_query_parses_only_the_objects_it_names(workspace, capsys,
@@ -302,17 +304,20 @@ def test_a_load_that_dies_before_the_manifest_keeps_the_old_snapshot(
     seed_dataset(workspace, capsys)
     save_cif(CanonicalTable([("k", "text")], [("a",)]),
              str(workspace / "x.cif"))
-    replace = os.replace
+    write_line = base._write_line
 
-    def crash_on_manifest(src, dst):
-        if os.path.basename(dst) == "manifest.json":
-            raise OSError("simulated crash")
-        replace(src, dst)
+    def crash_in_journal_append(path, manifest, mode="a"):
+        if os.path.basename(path) != base.JOURNAL:
+            return write_line(path, manifest, mode)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write('{"x":{"engine":"rel"')  # a torn line
+        raise OSError("simulated crash")
 
-    monkeypatch.setattr(os, "replace", crash_on_manifest)
+    monkeypatch.setattr(base, "_write_line", crash_in_journal_append)
     code, _, err = run(["load", "rel", "x", "x.cif"], capsys)
     assert code == 2 and "simulated crash" in err
-    monkeypatch.setattr(os, "replace", replace)
+    assert (workspace / "polydawg_data" / base.JOURNAL).exists()
+    monkeypatch.setattr(base, "_write_line", write_line)
     for text in ("relational(SELECT id FROM patients)",
                  "relational(SELECT drug FROM meds)",
                  "text(grep(notes, 'fever'))",

@@ -603,11 +603,12 @@ def test_snapshot_writes_only_objects_without_a_file_there(tmp_path):
     other.load("rel", "extra", PATIENTS, {"key": ["id"]})
     other.snapshot(str(tmp_path))
     after = {p.name: p.stat() for p in tmp_path.iterdir()}
-    assert sorted(after) == sorted([*before, "extra.cif"])
+    # the manifest stays; the snapshot appends one line to its journal
+    assert sorted(after) == sorted([*before, "extra.cif", base.JOURNAL])
     changed = {name for name in after if name not in before
                or (after[name].st_ino, after[name].st_mtime_ns)
                != (before[name].st_ino, before[name].st_mtime_ns)}
-    assert changed == {"extra.cif", "manifest.json"}
+    assert changed == {"extra.cif", base.JOURNAL}
     assert other.engine("rel").object_names() == ["extra", "patients"]
     assert other.engine("arr")._pending  # nothing else was parsed
 

@@ -6,7 +6,7 @@ import pytest
 import generators
 import oracle
 from polydawg import executor
-from polydawg.errors import InternalConsistencyError
+from polydawg.errors import InternalConsistencyError, TypeMismatchError
 from polydawg.executor import (
     StepDelayModel, System, SystemConfig, UsageTracker, VirtualClock,
 )
@@ -185,6 +185,28 @@ def test_production_untrained_is_seeded_random_and_enqueues_rest():
         repeat = fresh_system(seed=seed)
         assert repeat.run_production(MATMUL).plan_id == report.plan_id
     assert len(picks) > 1
+
+
+def test_a_production_run_that_raises_queues_and_records_nothing(
+        monkeypatch):
+    system = fresh_system()
+    plans = system.plan_query(MATMUL).plans
+    assert len(plans) == 3
+
+    def fail(pq, plan):
+        system.clock.advance(1.0)
+        raise TypeMismatchError("division by zero")
+
+    monkeypatch.setattr(system, "execute_plan", fail)
+    with pytest.raises(TypeMismatchError, match="division by zero"):
+        system.run_production(MATMUL)
+    assert system.monitor.pending == []
+    assert system.monitor.records == []
+    # once its plan runs, the others queue behind it
+    monkeypatch.undo()
+    assert system.run_production(MATMUL).case == "random"
+    assert len(system.monitor.pending) == 2
+    assert [r.phase for r in system.monitor.records] == ["production"]
 
 
 def test_production_after_training_runs_best_plan():

@@ -95,6 +95,23 @@ def test_where_errors_come_before_projection_errors():
     assert want == (relational.TypeMismatchError, "division by zero")
 
 
+@pytest.mark.parametrize("text", [
+    "SELECT g, SUM(a * b) AS s, AVG(b / a) AS q, COUNT(a - b) AS n "
+    "FROM t GROUP BY g",
+    "SELECT MIN(b / a) AS m, MAX(a * b) AS x, SUM(b * b) AS s FROM t",
+])
+def test_a_nullable_aggregate_argument_skips_its_nulls(text):
+    # null operands on either side, and -0.0, which repr tells from 0.0
+    rows = [(1, None, 1.0), (1, 2, None), (1, 2, -0.0), (2, None, None),
+            (2, 3, 0.1), (2, 7, 1e-300)]
+    assert _same(text, rows)[0] == "ok"
+    assert _same(text, [(2, None, None)])[0] == "ok"
+    # a division by zero in a row whose operands are both set still raises,
+    # after the nulls before it are skipped
+    assert _same(text, rows + [(1, 0, 1.0), (3, 1, BIG)]) == (
+        relational.TypeMismatchError, "division by zero")
+
+
 # --- joins ---------------------------------------------------------------------
 
 LEFT = [("a", 1, 0.5, 1, 2), ("b", 2, -0.0, 2, 2), ("c", None, 1.5, None, 1),
