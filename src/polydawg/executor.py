@@ -23,7 +23,7 @@ from . import monitor as mon
 from . import planner, querylang
 from .canonical import bag_equal
 from .errors import ExecutionError, InternalConsistencyError, PolydawgError
-from .migrator import apply_cast, chain_for, migrate
+from .migrator import apply_cast, migrate
 from .planner import CrossOp, ExecuteContainer, Migrate
 
 USAGE_WINDOW_S = 10.0  # engine busy fractions cover this many seconds
@@ -257,9 +257,7 @@ class System:
         node = step.node
         if node.kind == "cast":
             table = env[node.inputs[0]]
-            for spec in chain_for(node.params["source_model"],
-                                  node.params["target_model"],
-                                  key=node.params["key"]):
+            for spec in node.params["chain"]:
                 table, _ = apply_cast(table, spec)
             return table
 

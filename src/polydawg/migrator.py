@@ -341,7 +341,9 @@ def chain_for(source_model, target_model, key=None, dim_cols=None,
 
     ``key`` feeds a relational source (without one, only triple-encoded
     data casts, by reinterpretation); ``dim_cols`` and ``dim_maps``
-    describe an array source.
+    describe an array source. A query reads each operand and cast in its
+    island's model by one call (``querylang.read_chain``), and a plan
+    moves a value from an island's model to a site engine's by another.
     """
     if source_model == target_model:
         return []

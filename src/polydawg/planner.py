@@ -2,15 +2,17 @@
 cross-engine remainder, fingerprint them, and enumerate candidate plans.
 
 One rule decomposes every island operator (``_Decomposer.frag_op``): if
-all its operands are objects on one engine with a shim for it, it is one
-container; otherwise it is a remainder node over its operands, each
-object fetched by a container of its own, each cast and nested operator
-decomposed by the same rule. So an operator over a nested operator is
-always a remainder node, even where one engine could run both. A raw
-scope is one container. Each remainder node that an engine must execute
-gets a site assignment during enumeration; minimal Migrate steps move
-inputs to the site. Plan ids hash the constant-normalized step list so a
-query and its literal variants share plan identities.
+all its operands are objects in the island's model on one engine with a
+shim for it, it is one container; otherwise it is a remainder node over
+its operands, each read in the island's model: an object is fetched by a
+container of its own and, if of another model, read through a cast
+node; each cast and nested operator is decomposed by the same rule. So
+an operator over a nested operator is always a remainder node, even
+where one engine could run both. A raw scope is one container. Each
+remainder node that an engine must execute gets a site assignment during
+enumeration; minimal Migrate steps move inputs to the site. Plan ids
+hash the constant-normalized step list so a query and its literal
+variants share plan identities.
 """
 
 import functools
@@ -23,6 +25,7 @@ from .errors import PlanningError
 from .migrator import KEYVALUE, RELATIONAL, chain_for
 from .querylang import (
     D4mOp, RawExpr, TextOp, collect_constants, operands, operator_of,
+    read_chain,
 )
 
 EMPTY_REMAINDER_SENTINEL = "empty-remainder"
@@ -50,7 +53,6 @@ class Container:
     alias: str
     out_model: str
     source_leaf: object = None  # object name when this is a pure leaf fetch
-    meta: dict = field(default_factory=dict)
 
     @property
     def id(self):
@@ -70,7 +72,7 @@ class RNode:
     inputs: list  # input aliases in leaf order
     leaf_aliases: dict  # id(leaf node) -> input alias
     out_model: str
-    params: dict = field(default_factory=dict)  # cast: spec info
+    params: dict = field(default_factory=dict)  # cast: models, key, chain
 
     def norm(self):
         if self.kind == "cast":
@@ -232,7 +234,6 @@ class _Decomposer:
         """Container that exports one engine-resident object; a table
         fetch keeps the table's alias and the conjuncts pushed down to
         it."""
-        meta = {}
         if info.model == RELATIONAL:
             query = f"SELECT * FROM {info.name}"
             if alias and alias != info.name:
@@ -248,26 +249,25 @@ class _Decomposer:
                 f"{n}=0:{length - 1}" for n, length in arr.dims
             )
             query = f"SUBARRAY {info.name} {ranges}"
-            meta = {"dim_maps": arr.dim_maps,
-                    "dim_cols": [n for n, _ in arr.dims]}
         return self.add_container(
             engine_id=info.engine, query=query, out_model=info.model,
-            source_leaf=None if pushed else info.name, meta=meta,
+            source_leaf=None if pushed else info.name,
         )
 
-    def frag_cast(self, cast):
-        inner_alias = self.frag_scope(cast.inner)
-        inner_info = self.res.scope_info(cast.inner)
-        cast_info = self.res.leaves[id(cast)]
-        params = {
-            "source_model": inner_info.model,
-            "target_model": cast_info.model,
-            "key": tuple(cast.key) if cast.key else None,
-        }
+    def add_cast(self, inner_alias, info, model, key=None):
+        """Alias of the cast node reading ``inner_alias``, the value of
+        ``info``, in ``model`` by the chain validation typed it with."""
         return self.add_node(
             kind="cast", island=None, expr=None, inputs=[inner_alias],
-            leaf_aliases={}, out_model=cast_info.model, params=params,
-        )
+            leaf_aliases={}, out_model=model, params={
+                "source_model": info.model, "target_model": model,
+                "key": tuple(key) if key else None,
+                "chain": read_chain(info, model, self.catalog, key)})
+
+    def frag_cast(self, cast):
+        return self.add_cast(self.frag_scope(cast.inner),
+                             self.res.scope_info(cast.inner),
+                             self.res.leaves[id(cast)].model, cast.key)
 
     # ----- scopes
 
@@ -282,13 +282,15 @@ class _Decomposer:
 
     def frag_op(self, island, expr):
         """Alias of the island operator's value: one container when all
-        its operands are objects on one engine with a shim for it, else a
-        remainder node over its fetched, cast or nested operands."""
+        its operands are objects in the island's model on one engine with
+        a shim for it, else a remainder node over its operands, each read
+        in the island's model."""
         leaves = operands(expr)
         infos = [None if isinstance(leaf, D4mOp) else self.res.leaf(leaf)
                  for leaf in leaves]
         op = operator_of(expr)
-        if all(i is not None and i.kind == "object" for i in infos):
+        if all(i is not None and i.kind == "object"
+               and i.model == island.model for i in infos):
             engine, *rest = {i.engine for i in infos}
             if not rest and self.registry.supports(island.name, engine, op):
                 query = self.registry.translate(island.name, expr, engine)
@@ -297,7 +299,7 @@ class _Decomposer:
         # the order in which operands are decomposed sets the aliases, and
         # so the plan ids: a SELECT fetches each table as it reaches it,
         # with the conjuncts that name it alone; other operators decompose
-        # their nested ops and casts first, then fetch their objects
+        # their nested ops and casts first, then fetch and cast their objects
         select = isinstance(expr, sql.SelectStmt)
         conjuncts = _split_conjuncts(expr.where) if select else []
         aliases = {}
@@ -313,7 +315,10 @@ class _Decomposer:
                 aliases[id(leaf)] = self.fetch(info, leaf.alias, pushed)
         for leaf, info in zip(leaves, infos):
             if id(leaf) not in aliases:
-                aliases[id(leaf)] = self.fetch(info)
+                alias = self.fetch(info)
+                if info.model != island.model:
+                    alias = self.add_cast(alias, info, island.model)
+                aliases[id(leaf)] = alias
         return self.add_node(
             kind=op, island=island.name, expr=expr,
             inputs=[aliases[id(leaf)] for leaf in leaves],
@@ -439,16 +444,9 @@ def enumerate_plans(containers, remainder, registry, catalog, cap=16):
                     # without counting a migration
                     bindings[inp] = ("staged",)
                     continue
-                meta = src.meta if src is not None else {}
-                # every migration moves associative data, so it passes
-                # through the triple form
-                chain = [] if model[inp] == need else (
-                    chain_for(model[inp], KEYVALUE,
-                              dim_cols=meta.get("dim_cols"),
-                              dim_maps=meta.get("dim_maps"))
-                    + chain_for(KEYVALUE, need))
                 if (inp, site, need) not in migrated:
-                    node_steps.append(Migrate(home[inp], site, inp, chain))
+                    node_steps.append(Migrate(home[inp], site, inp,
+                                              chain_for(model[inp], need)))
                     migrated.add((inp, site, need))
                     moves += 1
                 bindings[inp] = ("migrated",)

@@ -579,16 +579,7 @@ def _resolve_object(name, island, res, span_owner):
     return info
 
 
-def _cast_empty(schema, chain):
-    """Schema of an empty table of ``schema`` cast by the specs of
-    ``chain``."""
-    table = CanonicalTable(schema)
-    for spec in chain:
-        table, _ = apply_cast(table, spec)
-    return table.schema
-
-
-def _cast_schema(inner, cast, target_model):
+def _cast_schema(inner, cast, target_model, catalog):
     """Schema of a cast result: the chain the executor runs for the cast,
     applied to an empty table of the inner scope's schema. A result in
     the array model must also have the dimensions migration loads."""
@@ -597,8 +588,7 @@ def _cast_schema(inner, cast, target_model):
         raise CastError(
             f"cast from relational to {target_model} requires key=..."
         )
-    schema = _cast_empty(
-        inner.schema, chain_for(inner.model, target_model, key=cast.key))
+    schema = _in_model(inner, target_model, catalog, cast.key)
     if target_model == ARRAY:
         array_dims(schema)
     return schema
@@ -620,7 +610,8 @@ def _resolve_cast(cast, enclosing_island, res):
             f"used inside island {enclosing_island.name!r} "
             f"(model {enclosing_island.model})", cast.span
         )
-    schema = _statically(cast, _cast_schema, inner, cast, target.model)
+    schema = _statically(cast, _cast_schema, inner, cast, target.model,
+                         res.catalog)
     info = LeafInfo("cast", target.model, schema, name=cast.placeholder,
                     cast=cast)
     res.leaves[id(cast)] = info
@@ -635,18 +626,28 @@ def _check_op(island, op):
         )
 
 
-def _in_model(info, model, catalog):
-    """Schema of the operand ``info`` read in ``model``: the chain a
-    migration of it runs into ``model``, applied to an empty table of its
-    schema."""
-    if info.model == model:
-        return info.schema
+def read_chain(info, model, catalog, key=None):
+    """Cast specs reading ``info``, an operand or a cast's inner scope, in
+    ``model``; every plan runs the chain that validation types it with."""
     dims = maps = None
-    if info.kind == "object" and info.model == ARRAY:
+    if isinstance(info, LeafInfo) and info.kind == "object" \
+            and info.model == ARRAY:
         arr = catalog.engine(info.engine).array(info.name)
         dims, maps = [n for n, _ in arr.dims], arr.dim_maps
-    chain = chain_for(info.model, model, dim_cols=dims, dim_maps=maps)
-    return _cast_empty(info.schema, chain)
+    return chain_for(info.model, model, key=key, dim_cols=dims,
+                     dim_maps=maps)
+
+
+def _in_model(info, model, catalog, key=None):
+    """Schema of ``info`` read in ``model``: its read chain applied to an
+    empty table of its schema."""
+    chain = read_chain(info, model, catalog, key)
+    if not chain:
+        return info.schema
+    table = CanonicalTable(info.schema)
+    for spec in chain:
+        table, _ = apply_cast(table, spec)
+    return table.schema
 
 
 def _validate_leaf(leaf, island, scope, res):

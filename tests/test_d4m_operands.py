@@ -5,7 +5,10 @@ Validation takes a d4m leaf's value tag from the cast a migration of it
 runs, so what it accepts is what every plan can run. The operands are
 generated: arrays with 1-3 dimensions and 0-2 attributes of each tag,
 with full, partial or no key maps and with or without null cells, and
-relations with and without the (r, c, v) names and text key columns.
+relations with and without the (r, c, v) names and text key columns. A
+relation reaches every d4m op through the one cast into the associative
+model, so a triple relation with a null ``v`` or, without a key, with a
+duplicate ``(r, c)`` gives one answer or one error on every plan.
 """
 
 import itertools
@@ -14,9 +17,9 @@ import random
 import pytest
 
 import oracle
-from polydawg.canonical import CanonicalTable
+from polydawg.canonical import CanonicalTable, bag_equal
 from polydawg.engines import default_catalog
-from polydawg.errors import InternalConsistencyError, ValidationError
+from polydawg.errors import CastError, PolydawgError, ValidationError
 from polydawg.executor import System, VirtualClock
 from polydawg.island import register_defaults
 from polydawg.monitor import MonitorDB
@@ -150,12 +153,63 @@ def test_a_partial_key_map_keys_its_unmapped_dimension_by_coordinate():
     assert sorted(report.result.rows) == [("a", "a", 1.0), ("b", "b", 4.0)]
 
 
-@pytest.mark.xfail(raises=InternalConsistencyError, strict=True,
-                   reason="a rel-site d4m op reads a triple relation's null "
-                          "v, which every migration drops")
 def test_a_triple_relation_with_a_null_v_agrees_on_every_plan():
     table = CanonicalTable([("r", "text"), ("c", "text"), ("v", "real")],
                            [("a", "a", 2.0), ("a", "b", 1.0),
                             ("b", "a", None)])
     system = _system([("tn", "rel", table, {"key": ["r", "c"]})])
     system.run_training("d4m(matmul(tn, transpose(tn)))")
+
+
+def _odd_triples():
+    """(name, table, load options) of triple relations on rel that the
+    associative model cannot hold as they are: keyed ones with a null
+    ``v``, and keyless ones with a duplicate ``(r, c)``."""
+    rng = random.Random(24)
+    out = []
+    for n, (val_tag, keyed) in enumerate(itertools.product(
+            NUMERIC, (True, False))):
+        table, options = _relation(rng, ("r", "c", "v"), ("text", "text"),
+                                   val_tag)
+        rows = list(table.rows)
+        i = rng.randrange(len(rows))
+        if keyed:
+            rows[i] = rows[i][:2] + (None,)
+        else:
+            rows.append(rows[i][:2] + (_value(rng, val_tag),))
+            options = {}
+        out.append((f"odd{n}", CanonicalTable(table.schema, rows), options))
+    return out
+
+
+def _outcome(system, pq, plan):
+    try:
+        result, _ = system.execute_plan(pq, plan)
+    except PolydawgError as e:
+        return type(e), str(e)
+    return result
+
+
+@pytest.mark.parametrize("op, query", QUERIES)
+def test_an_odd_triple_relation_gives_one_answer_or_one_error_on_every_plan(
+        op, query):
+    odd = _odd_triples()
+    system = _system([(name, "rel", table, options)
+                      for name, table, options in odd])
+    for name, _, options in odd:
+        text = query.format(x=name)
+        pq = system.plan_query(text)
+        first, *rest = [_outcome(system, pq, plan) for plan in pq.plans]
+        if isinstance(first, tuple):
+            assert all(o == first for o in rest), text
+            assert first[0] is CastError, text
+            assert not options and first[1].startswith("duplicate entry"), \
+                text
+            continue
+        assert options, text
+        for other in rest:
+            assert not isinstance(other, tuple), (text, other)
+            assert bag_equal(first, other, rel_tol=1e-9), text
+        # a null is no entry, on every plan
+        assert None not in (v for _, _, v in first.rows), text
+

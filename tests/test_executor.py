@@ -39,9 +39,9 @@ def test_virtual_clock_and_delay_model():
                    if any(isinstance(s, CrossOp) and s.site == "kv"
                           for s in p.steps))
     _, runtime_ms = system.execute_plan(pq, kv_plan)
-    # one container + one migrate at the default + one kv matmul at its
-    # (kind, site) delay
-    assert runtime_ms == pytest.approx(3.0 + 3.0 + 40.0)
+    # one container, the cast reading dose_rc as associative data and one
+    # migrate at the default, plus one kv matmul at its (kind, site) delay
+    assert runtime_ms == pytest.approx(3.0 + 3.0 + 3.0 + 40.0)
 
 
 def test_kv_select_over_a_kv_result_agrees_with_the_oracle():
@@ -256,6 +256,52 @@ def test_production_under_skewed_usage_warns_or_reroutes():
     assert report.case in ("usage-alternate", "retrain-recommended")
     if report.case == "retrain-recommended":
         assert report.warnings
+
+
+def test_production_under_skewed_usage_runs_a_plan_measured_under_it():
+    # trained while idle, the kv plan is fastest; the rel plan then runs
+    # once in the background under a saturated kv, so production under
+    # that load serves the rel plan
+    system = fresh_system(delays=StepDelayModel(
+        default_ms=0.0, cross_op_kind_site_ms={("matmul", "kv"): 10.0,
+                                               ("matmul", "rel"): 20.0,
+                                               ("matmul", "arr"): 30.0}))
+    trained = system.run_training(MATMUL)
+    pq = system.plan_query(MATMUL)
+    rel_plan = next(p for p in pq.plans if any(
+        isinstance(s, CrossOp) and s.site == "rel" for s in p.steps))
+    assert trained.plan_id != rel_plan.id
+    now = system.clock.now()
+    system.usage.add("kv", now - 8.0, now)
+    system.monitor.enqueue(pq.signature, rel_plan, pq)
+    assert system.drain_background(force=True) == 1
+    report = system.run_production(MATMUL)
+    assert report.case == "usage-alternate"
+    assert report.plan_id == rel_plan.id
+    assert report.match_score == 1.0
+    assert report.warnings == []
+
+
+RAW_QUERIES = {  # the raw scopes of the acceptance suite
+    'raw.kv(SCAN vitals ROWS "a":"z~")': ("'a'", "'z~'"),
+    "raw.rel(SELECT id, age FROM patients WHERE age > 40 ORDER BY id)":
+        ("40",),
+    "raw.arr(SUBARRAY waveform patient=0:9,t=0:5)": ("0", "0", "5", "9"),
+}
+
+
+@pytest.mark.parametrize("text", RAW_QUERIES)
+def test_a_raw_scope_runs_its_body_on_its_engine(text):
+    system = fresh_system()
+    pq = system.plan_query(text)
+    scope = pq.resolved.ast.root
+    engine = system.registry.island(scope.island).default_engine
+    (plan,) = pq.plans
+    assert [(s.container.engine_id, s.container.query)
+            for s in plan.steps] == [(engine, scope.expr.body)]
+    assert pq.signature.constants == RAW_QUERIES[text]
+    want = system.catalog.execute_native(engine, scope.expr.body)
+    assert want.rows and system.run_training(text).result == want
 
 
 def test_background_drain_waits_for_idle():

@@ -38,6 +38,28 @@ def test_relation_to_assoc_composite_key_with_escaping():
     assert bag_equal(back, table)
 
 
+@pytest.mark.parametrize("tag, keys", [
+    ("int", [-7, 0, 3, 12]),
+    ("real", [-2.5, 0.1, 1e-07, 3.0, 1e16]),
+])
+def test_relation_to_assoc_and_back_with_a_numeric_key(tag, keys):
+    # a numeric key is written as text in the row key and read back as a
+    # value of its tag, so the round trip keeps it exactly
+    table = CanonicalTable(
+        [("k", tag), ("x", "real"), ("y", "real")],
+        [(k, float(i), None if i % 2 else -float(i))
+         for i, k in enumerate(keys)],
+    )
+    assoc, inverse = apply_cast(table, CastSpec(RELATIONAL, KEYVALUE,
+                                                key=("k",)))
+    assert {r for r, _, _ in assoc.rows} == {
+        repr(k) if tag == "real" else str(k) for k in keys}
+    back, _ = apply_cast(assoc, inverse)
+    assert back.schema == table.schema
+    assert sorted(back.rows) == sorted(table.rows)
+    assert [type(k) for k, _, _ in back.rows] == [type(keys[0])] * len(keys)
+
+
 def test_relation_to_assoc_drops_nulls_lossy_edge():
     table = CanonicalTable(
         [("id", "text"), ("age", "int")], [("p1", None), ("p2", 4)]

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -46,17 +48,16 @@ def test_cross_engine_matmul_enumerates_one_plan_per_site(env):
     containers, remainder, plans = plan(env, "d4m(matmul(dose_rc, vitals))")
     assert len(containers) == 2
     assert {c.engine_id for c in containers} == {"rel", "kv"}
-    assert [n.kind for n in remainder.nodes] == ["matmul"]
+    # the rel-resident relation is read as associative data by a cast
+    assert [n.kind for n in remainder.nodes] == ["cast", "matmul"]
     assert len(plans) == 3
-    sites = sorted(s.site for p in plans for s in p.steps
-                   if isinstance(s, CrossOp))
-    assert sites == ["arr", "kv", "rel"]
     # each plan moves only the operands not already resident at the site
-    by_site = {next(s.site for s in p.steps if isinstance(s, CrossOp)): p
-               for p in plans}
-    assert by_site["rel"].estimated_moves == 1  # vitals moves to rel
-    assert by_site["kv"].estimated_moves == 1   # dose_rc moves to kv
-    assert by_site["arr"].estimated_moves == 2  # both move
+    # in its model; the cast's value is resident nowhere
+    sites = by_site(plans)
+    assert sorted(sites) == ["arr", "kv", "rel"]
+    assert sites["rel"].estimated_moves == 2  # both move
+    assert sites["kv"].estimated_moves == 1   # dose_rc moves to kv
+    assert sites["arr"].estimated_moves == 2  # both move
 
 
 def test_resident_operand_binds_direct_without_migration(env):
@@ -64,7 +65,8 @@ def test_resident_operand_binds_direct_without_migration(env):
     kv_plan = next(p for p in plans
                    if any(isinstance(s, CrossOp) and s.site == "kv"
                           for s in p.steps))
-    cross = next(s for s in kv_plan.steps if isinstance(s, CrossOp))
+    cross = next(s for s in kv_plan.steps
+                 if isinstance(s, CrossOp) and s.site == "kv")
     kinds = sorted(b[0] for b in cross.bindings.values())
     assert kinds == ["direct", "migrated"]
     # the direct operand is never exported, so no ExecuteContainer for it
@@ -169,38 +171,58 @@ def migrations(p):
 
 
 def by_site(plans):
-    return {next(s.site for s in p.steps if isinstance(s, CrossOp)): p
+    return {next(s.site for s in p.steps
+                 if isinstance(s, CrossOp) and s.site is not None): p
             for p in plans}
 
 
-def hops(step):
-    return [(s.source_model, s.target_model) for s in step.chain]
+def cast_chains(remainder):
+    return [[(s.source_model, s.target_model, s.key) for s in n.params["chain"]]
+            for n in remainder.nodes if n.kind == "cast"]
 
 
 def test_array_leaf_reaches_rel_through_assoc_with_its_key_maps(env):
+    # the array leaf is read as associative data by its cast node, with
+    # its key maps, and the rel-site plan moves that value
     catalog, _ = env
-    _, _, plans = plan(env, "d4m(matmul(dosemat, vitals))")
+    _, remainder, plans = plan(env, "d4m(matmul(dosemat, vitals))")
     assert [p.id for p in plans] == [
-        "4116667b97c6b3ba", "da58e7d525ccad8e", "b08ba081f882444b"]
+        "f028cc7c12777049", "75ae0574b62c6ccd", "f93ec8b627128d14"]
     moved = migrations(by_site(plans)["rel"])
     assert [m.norm() for m in moved] == [
-        "M[arr->rel:c0:array->keyvalue,keyvalue->relational]",
+        "M[None->rel:r0:keyvalue->relational]",
         "M[kv->rel:c1:keyvalue->relational]"]
-    assert hops(moved[0]) == [("array", "keyvalue"), ("keyvalue", "relational")]
+    assert cast_chains(remainder) == [[("array", "keyvalue", None)]]
+    (spec,) = remainder.nodes[0].params["chain"]
     dosemat = catalog.engine("arr").array("dosemat")
-    assert moved[0].chain[0].dim_maps == dosemat.dim_maps
-    assert moved[0].chain[0].dim_cols == ("r", "c")
+    assert spec.dim_maps == dosemat.dim_maps
+    assert spec.dim_cols == ("r", "c")
 
 
 def test_triple_relation_reaches_arr_through_assoc(env):
-    _, _, plans = plan(env, "d4m(matmul(dose_rc, dosemat))")
+    _, remainder, plans = plan(env, "d4m(matmul(dose_rc, dosemat))")
     assert [p.id for p in plans] == [
-        "1e60bdcb8a4abec4", "aaea8cddd8fa8d01", "c394ef574d05b071"]
-    (moved,) = migrations(by_site(plans)["arr"])
-    assert moved.norm() == (
-        "M[rel->arr:c0:relational->keyvalue,keyvalue->array]")
-    assert [(s.source_model, s.target_model, s.key) for s in moved.chain] == [
-        ("relational", "keyvalue", None), ("keyvalue", "array", None)]
+        "1369006011baebbe", "2521e75966cda2aa", "530d760dcb7a4384"]
+    assert [m.norm() for m in migrations(by_site(plans)["arr"])] == [
+        "M[None->arr:r0:keyvalue->array]", "M[None->arr:r1:keyvalue->array]"]
+    assert cast_chains(remainder) == [[("relational", "keyvalue", None)],
+                                      [("array", "keyvalue", None)]]
+
+
+@pytest.mark.parametrize("text, plan_moves", [
+    ("d4m(transpose(dose_rc))", {"rel": 1}),
+    ("d4m(matmul(dosemat, dosemat))", {"arr": 1, "kv": 1, "rel": 1}),
+])
+def test_an_object_of_another_model_is_read_through_one_cast(
+        env, text, plan_moves):
+    # no shim reads an object outside its island's model directly, so even
+    # a query over one engine's objects casts them and moves the cast's
+    # value to each site, once per plan
+    containers, remainder, plans = plan(env, text)
+    assert len(containers) == 1
+    assert remainder.nodes[0].kind == "cast"
+    assert {site: p.estimated_moves
+            for site, p in by_site(plans).items()} == plan_moves
 
 
 def test_codosing_plan_ids_and_migrations_are_pinned(env):
@@ -239,22 +261,54 @@ def test_cross_op_reads_its_inputs_in_its_site_engines_model(env):
 # The digest of what planning 400 generated queries gives: each query's
 # signature structure, its plan ids in order and its containers. A change
 # to how a query decomposes or how its plans are named changes it.
-GENERATED_PLANS_SHA256 = "2adb6829f1c8ad201db6b07e6e4c6b1cf80c0ffbc84f9bf846e6abb517a07da2"
+GENERATED_PLANS_SHA256 = "c6357b0fc714f9b626cac4b3570fd0c83013fb34aafc68000a28929ec93682ae"
 
 
-def test_plans_of_generated_queries_are_pinned(env):
+@pytest.fixture(scope="module")
+def generated(env):
+    """(resolved, containers, remainder, plans, the read chains validation
+    typed operands and casts with) of 400 generated queries."""
     catalog, registry = env
     rng = random.Random(5)
-    digest = hashlib.sha256()
+    read_chain = ql.read_chain
+    out = []
     for _ in range(400):
-        resolved = resolve(env, generators.random_query(rng))
+        typed = []
+
+        def recording(*args, **kw):
+            typed.append(read_chain(*args, **kw))
+            return typed[-1]
+        with pytest.MonkeyPatch.context() as mp:  # validation only
+            mp.setattr(ql, "read_chain", recording)
+            resolved = resolve(env, generators.random_query(rng))
         containers, remainder = decompose(resolved)
         plans = enumerate_plans(containers, remainder, registry, catalog)
+        out.append((resolved, containers, remainder, plans, typed))
+    return out
+
+
+def test_plans_of_generated_queries_are_pinned(generated):
+    digest = hashlib.sha256()
+    for resolved, containers, remainder, plans, _ in generated:
         record = [signature_of(remainder, resolved).structure,
                   [p.id for p in plans],
                   [(c.alias, c.engine_id, c.query) for c in containers]]
         digest.update(repr(record).encode() + b"\n")
     assert digest.hexdigest() == GENERATED_PLANS_SHA256
+
+
+def test_every_operand_is_read_in_its_islands_model_by_its_typed_chain(
+        env, generated):
+    _, registry = env
+    for _, containers, remainder, _, typed in generated:
+        model = {c.alias: c.out_model for c in containers}
+        for node in remainder.nodes:
+            if node.kind == "cast":
+                assert node.params["chain"] in typed
+            else:
+                want = registry.island(node.island).model
+                assert {model[a] for a in node.inputs} == {want}
+            model[node.alias] = node.out_model
 
 
 def test_only_conjuncts_naming_one_table_alone_are_pushed_down(env):
@@ -285,3 +339,45 @@ def test_text_and_array_remainder_nodes_norm_without_literals(env, text, norm):
     _, remainder, plans = plan(env, text)
     assert [n.norm() for n in remainder.nodes][1:] == [norm]
     assert plans
+
+
+# A digest per benchmark query shape of its signature structure and plan
+# ids at scale 1. The benchmark compares runs of two trees by these plans,
+# so a change to any of them must be recorded where the shape's numbers
+# are read.
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "workloads.py"
+BENCHMARK_SHAPE_PLANS = {
+    "rel_select": "5cf08010bce8c6cb",
+    "rel_group": "f3305b5b67f9828b",
+    "rel_join": "7debbf299bd19b4b",
+    "join_grep": "7da7164fdd04e7d1",
+    "text_scan": "af5e1f9e0bc47270",
+    "text_grep": "960645f7044e342f",
+    "array_subarray": "e02ab0d53fa92f3a",
+    "array_filter": "f3485ecff29b43ad",
+    "codose": "6c2a9b23b7d37058",
+    "wave_sim": "3487b533b0c25721",
+    "wave_ewise": "2b3dfe38274f526f",
+    "codose_rel": "7296c2c9f33f52c5",
+}
+
+
+def test_plans_of_benchmark_query_shapes_are_pinned(env):
+    catalog, registry = env
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    gen = workloads.QueryGen(random.Random(1), scale=1, window=40)
+    got = {}
+    for shapes in workloads.FAMILIES.values():
+        for shape in shapes:
+            resolved = resolve(env, getattr(gen, shape)())
+            containers, remainder = decompose(resolved)
+            plans = enumerate_plans(containers, remainder, registry, catalog)
+            record = [signature_of(remainder, resolved).structure,
+                      [p.id for p in plans]]
+            got[shape] = hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+    assert got == BENCHMARK_SHAPE_PLANS
+
