@@ -5,6 +5,8 @@ are simply absent. Objects may carry per-dimension key maps (sorted
 distinct string keys whose ranks are the coordinates, or None for a
 dimension keyed by its coordinates), which is how associative arrays are
 encoded here; MATMUL/EWISE take their keys through migrator.assoc_entries.
+A load checks coordinates and duplicate cells a column at a time; only a
+table that fails runs the per-row loop, which raises its first bad row.
 
 FILTER runs as ``SELECT * ... WHERE`` and AGG as a GROUP BY SELECT,
 generated code under the rules of ``relational``. SUBARRAY walks its box
@@ -124,17 +126,26 @@ class ArrayEngine(Engine):
             (n, t) for i, (n, t) in enumerate(table.schema) if i not in dim_idx
         ]
         attr_idx = [i for i in range(len(table.schema)) if i not in dim_idx]
-        cells = {}
-        for row in table.rows:
-            coords = tuple(row[i] for i in dim_idx)
-            for c, (_, length) in zip(coords, dims):
-                if c is None or not (0 <= c < length):
-                    raise SchemaError(
-                        f"coordinate {c!r} out of bounds in {name!r}"
-                    )
-            if coords in cells:
-                raise SchemaError(f"duplicate cell {coords!r} in {name!r}")
-            cells[coords] = tuple(row[i] for i in attr_idx)
+        rows = table.rows
+        columns = list(zip(*rows)) or [()] * len(table.schema)
+        coords = [columns[i] for i in dim_idx]
+        cells = dict(zip(zip(*coords), zip(*[columns[i] for i in attr_idx])
+                         if attr_idx else itertools.repeat(())))
+        if not (all(None not in col and min(col, default=0) >= 0
+                    and max(col, default=0) < length
+                    for col, (_, length) in zip(coords, dims))
+                and len(cells) == len(rows)):
+            seen = set()  # the first bad row, in row order, raises
+            for row in rows:
+                coords = tuple(row[i] for i in dim_idx)
+                for c, (_, length) in zip(coords, dims):
+                    if c is None or not (0 <= c < length):
+                        raise SchemaError(
+                            f"coordinate {c!r} out of bounds in {name!r}"
+                        )
+                if coords in seen:
+                    raise SchemaError(f"duplicate cell {coords!r} in {name!r}")
+                seen.add(coords)
         dim_maps = options.get("dim_maps")
         if dim_maps is not None:
             if len(dim_maps) != len(dims):

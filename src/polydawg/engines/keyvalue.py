@@ -2,22 +2,25 @@
 
 Objects are maps from (row-key, col-key) string pairs to values, kept
 in row-major lexicographic order. The native language covers range
-scans, value grep, and the D4M-style semiring matmul / elementwise ops.
+scans, value grep, and the D4M-style semiring matmul / elementwise ops,
+kernels the array engine shares (MATMUL folds in a row of B at a time).
 """
 
+import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .. import sql
 from ..errors import NativeSyntaxError, QuerySyntaxError, SchemaError, TypeMismatchError
-from ..migrator import entries_to_table, triple_schema
-from ..values import REAL, TEXT, finite, is_numeric_tag
+from ..migrator import entries_to_table, triple_schema, triples_to_table
+from ..values import REAL, TEXT, is_numeric_tag
 from .base import Engine
 
 SEMIRINGS = {
-    "plus.times": (lambda a, b: a + b, lambda a, b: a * b),
-    "min.plus": (min, lambda a, b: a + b),
-    "max.times": (max, lambda a, b: a * b),
+    "plus.times": (operator.add, operator.mul),
+    "min.plus": (min, operator.add),
+    "max.times": (max, operator.mul),
 }
 
 
@@ -29,44 +32,52 @@ class AssociativeArray:
 
 
 def assoc_matmul(a_entries, b_entries, semiring="plus.times"):
-    """C(r,c) = oplus_k A(r,k) otimes B(k,c) over keys present in both.
-    Every value is numeric: ``run_assoc_op`` takes only operands whose
-    value tag is. Terms are combined in the order of A's entries, and
-    ``plus.times`` runs inline, with the same floats as its lambdas."""
+    """``(r, c, v)`` rows, in key order, of C(r,c) = oplus_k A(r,k)
+    otimes B(k,c) over keys present in both; values are numeric. Each B
+    row is a sorted column list and its values. An A row folds in its B
+    rows a whole row at a time while they share one column list, then
+    column by column in a dict; either way each C(r,c) combines its
+    terms in the order of A's entries."""
     try:
         oplus, otimes = SEMIRINGS[semiring]
     except KeyError:
         raise SchemaError(f"unknown semiring {semiring!r}") from None
     a_rows = {}
     for (r, k), v in a_entries.items():
-        a_rows.setdefault(r, {})[k] = v
+        a_rows.setdefault(r, []).append((k, v))
     b_rows = {}
     for (k, c), v in b_entries.items():
         b_rows.setdefault(k, {})[c] = v
-    plus_times = semiring == "plus.times"
-    out = {}
-    for r, arow in a_rows.items():
-        acc = {}
-        get = acc.get  # values are never null
-        for k, av in arow.items():
-            brow = b_rows.get(k)
-            if brow is None:
+    for k, brow in b_rows.items():
+        cols = sorted(brow)
+        b_rows[k] = cols, list(map(brow.__getitem__, cols))
+    out = []
+    for r in sorted(a_rows):
+        cols = acc = None  # acc: a list over cols, or a dict once cols is None
+        for k, av in a_rows[r]:
+            if k not in b_rows:
                 continue
-            if plus_times:
-                for c, bv in brow.items():
-                    s = get(c)
-                    acc[c] = av * bv if s is None else s + av * bv
+            bcols, bvals = b_rows[k]
+            terms = map(otimes, repeat(av), bvals)
+            if acc is None:
+                cols, acc = bcols, list(terms)
+            elif bcols == cols:
+                acc = list(map(oplus, acc, terms))
             else:
-                for c, bv in brow.items():
-                    term = otimes(av, bv)
-                    acc[c] = term if c not in acc else oplus(acc[c], term)
-        for c, v in acc.items():
-            out[(r, c)] = v
+                if cols is not None:
+                    cols, acc = None, dict(zip(cols, acc))
+                for c, term in zip(bcols, terms):
+                    acc[c] = oplus(acc[c], term) if c in acc else term
+        if cols is not None:
+            out += zip(repeat(r), cols, acc)
+        elif acc:
+            out += [(r, c, acc[c]) for c in sorted(acc)]
     return out
 
 
 def assoc_ewise(a_entries, b_entries, op="plus"):
-    """Union of key sets; the op applies on overlap, copies elsewhere."""
+    """``(r, c, v)`` rows, in key order, of the union of key sets; the op
+    applies on overlap, copies elsewhere."""
     fns = {"plus": operator.add, "min": min, "max": max}
     try:
         fn = fns[op]
@@ -75,7 +86,7 @@ def assoc_ewise(a_entries, b_entries, op="plus"):
     out = dict(a_entries)
     for key, bv in b_entries.items():
         out[key] = fn(out[key], bv) if key in out else bv
-    return out
+    return [(r, c, v) for (r, c), v in sorted(out.items())]
 
 
 def result_tag(a_tag, b_tag):
@@ -109,13 +120,13 @@ def run_assoc_op(verb, cur, operand):
     opname = verb.upper()
     (ae, atag), (be, btag) = operand(a, opname), operand(b, opname)
     run = assoc_matmul if verb == "matmul" else assoc_ewise
-    entries, tag = run(ae, be, how), result_tag(atag, btag)
+    rows, tag = run(ae, be, how), result_tag(atag, btag)
     if tag != atag or tag != btag:  # int meets real: every value is real
-        entries = {k: float(v) for k, v in entries.items()}
-    if tag == REAL:
-        for v in entries.values():
-            finite(v)
-    return entries_to_table(entries, tag)
+        rows = [(r, c, float(v)) for r, c, v in rows]
+    values = map(operator.itemgetter(2), rows)
+    if tag == REAL and not all(map(math.isfinite, values)):
+        raise SchemaError("non-finite real values are rejected")
+    return triples_to_table(rows, tag)
 
 
 class KeyValueEngine(Engine):

@@ -288,7 +288,12 @@ def triple_schema(val_tag):
 def entries_to_table(entries, val_tag):
     """Triple table of the associative entries ``{(row key, col key):
     value}``, in key order."""
-    rows = [(r, c, v) for (r, c), v in sorted(entries.items())]
+    return triples_to_table(
+        [(r, c, v) for (r, c), v in sorted(entries.items())], val_tag)
+
+
+def triples_to_table(rows, val_tag):
+    """Triple table of checked ``(row key, col key, value)`` rows."""
     return CanonicalTable.trusted(triple_schema(val_tag), rows)
 
 

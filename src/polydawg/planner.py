@@ -170,7 +170,8 @@ class CrossOp:
         return f"X[{self.node.norm()}@{self.site}:{binds}]"
 
     def describe(self):
-        return f"cross-op {self.node.kind} ({self.node.alias}) at {self.site}"
+        where = "in memory" if self.site is None else f"at {self.site}"
+        return f"cross-op {self.node.kind} ({self.node.alias}) {where}"
 
 
 @dataclass

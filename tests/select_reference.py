@@ -4,7 +4,8 @@ reference that property tests compare the engines against.
 ``compile_select`` builds one closure per expression node and calls it
 once per row; ``agg_loop`` groups an array's rows for AGG;
 ``subarray_scan`` filters every cell of an array; the semiring loops
-call one function per term. Name resolution, type
+call one function per term; ``array_build`` checks and files an array's
+cells one row at a time. Name resolution, type
 inference and the compile-time checks they make are shared with
 ``polydawg.engines.relational``, which did not change them.
 """
@@ -16,8 +17,9 @@ from polydawg.canonical import CanonicalTable
 from polydawg.engines.relational import (
     _Scope, _check_comparable, _derived_name, _has_agg, _infer_tag,
 )
+from polydawg.engines.array import NDArray
 from polydawg.errors import CatalogError, SchemaError, TypeMismatchError
-from polydawg.values import REAL, finite, row_sort_key
+from polydawg.values import INT, REAL, finite, row_sort_key
 
 
 def _getter(idx):
@@ -290,3 +292,37 @@ def assoc_ewise(a_entries, b_entries, op="plus"):
     for key, bv in b_entries.items():
         out[key] = fn(out[key], bv) if key in out else bv
     return out
+
+
+def array_build(name, table, options):
+    """The array ``ArrayEngine._build`` makes of ``table`` under
+    ``options``, without key maps, its cells checked for bounds and
+    duplicates one row at a time."""
+    dims = options.get("dims")
+    if not dims:
+        raise SchemaError("array load requires options['dims']")
+    dims = [(d, int(l)) for d, l in dims]
+    dim_idx = []
+    for dname, length in dims:
+        i = table.column_index(dname)
+        if table.tags[i] != INT:
+            raise SchemaError(f"dimension column {dname!r} must be int")
+        if length <= 0:
+            raise SchemaError(f"dimension {dname!r} needs positive length")
+        dim_idx.append(i)
+    attrs = [
+        (n, t) for i, (n, t) in enumerate(table.schema) if i not in dim_idx
+    ]
+    attr_idx = [i for i in range(len(table.schema)) if i not in dim_idx]
+    cells = {}
+    for row in table.rows:
+        coords = tuple(row[i] for i in dim_idx)
+        for c, (_, length) in zip(coords, dims):
+            if c is None or not (0 <= c < length):
+                raise SchemaError(
+                    f"coordinate {c!r} out of bounds in {name!r}"
+                )
+        if coords in cells:
+            raise SchemaError(f"duplicate cell {coords!r} in {name!r}")
+        cells[coords] = tuple(row[i] for i in attr_idx)
+    return NDArray(name, dims, attrs, cells)

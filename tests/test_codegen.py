@@ -1,7 +1,7 @@
-"""Generated SELECT and FILTER code, SUBARRAY's box walk and the inlined
-semiring loops, each checked against the closure compilers and loops
-they replaced (``select_reference``): the same rows in the same order,
-and the same error class and message."""
+"""Generated SELECT and FILTER code, SUBARRAY's box walk and the
+row-at-a-time semiring kernel, each checked against the closure compilers
+and loops they replaced (``select_reference``): the same rows in the same
+order, and the same error class and message."""
 
 import ast
 import io
@@ -16,7 +16,8 @@ import pytest
 import select_reference as ref
 from polydawg import sql
 from polydawg.engines import relational
-from polydawg.engines.array import NDArray, _rows, _subarray, array_op
+from polydawg.canonical import CanonicalTable
+from polydawg.engines.array import ArrayEngine, NDArray, _rows, _subarray, array_op
 from polydawg.engines.keyvalue import assoc_ewise, assoc_matmul
 from polydawg.errors import PolydawgError
 
@@ -449,12 +450,73 @@ def catalog_with_wave():
     return catalog, catalog.engine("arr").array("wave")
 
 
+# --- array builds ------------------------------------------------------------
+
+def _build_outcome(build, table, options):
+    """("ok", the array's fields and its cells in order) or (error
+    class, message) of building ``table`` as the array ``w``."""
+    try:
+        arr = build("w", table, options)
+        return "ok", arr.dims, arr.attrs, list(arr.cells.items())
+    except PolydawgError as e:
+        return type(e), str(e)
+
+
+def test_array_build_matches_the_row_at_a_time_reference():
+    # tables with null, negative, out-of-range and duplicate coordinates,
+    # no attribute or no row, and dimensions anywhere among the columns
+    rng = random.Random(2703)
+    build = ArrayEngine("arr")._build
+    outcomes = set()
+    for case in range(400):
+        ndims, nattrs = rng.randint(1, 3), rng.randint(0, 2)
+        tags = ["int"] * ndims + [rng.choice(["int", "real", "text"])
+                                  for _ in range(nattrs)]
+        names = [f"x{i}" for i in range(len(tags))]
+        order = rng.sample(range(len(tags)), len(tags))
+        schema = [(names[i], tags[i]) for i in order]
+        lengths = [rng.randint(1, 4) for _ in range(ndims)]
+        bad = rng.random() < 0.5
+        raw = []
+        for _ in range(rng.choice([0, 1, 3, 8, 20])):
+            raw.append([rng.choice([None, -1, n] if bad and rng.random() < 0.1
+                                   else range(n)) for n in lengths]
+                       + [_value(rng, tag) for tag in tags[ndims:]])
+        if not bad:  # one row per cell, so that most tables load
+            raw = list({tuple(vals[:ndims]): vals for vals in raw}.values())
+        rows = [tuple(vals[i] for i in order) for vals in raw]
+        table = CanonicalTable(schema, rows)
+        options = {"dims": [(names[i], n) for i, n in enumerate(lengths)]}
+        want = _build_outcome(ref.array_build, table, options)
+        assert _build_outcome(build, table, options) == want, (table, options)
+        outcomes.add(want[0] if want[0] == "ok" else want[1].split()[0])
+    assert outcomes == {"ok", "coordinate", "duplicate"}
+
+
 # --- semiring loops ------------------------------------------------------------
 
 def _entries(rng, rows, cols, tag, density=0.5):
     return {(r, c): (rng.randint(-9, 9) if tag == "int"
                      else round(rng.uniform(-9, 9), 3))
             for r in rows for c in cols if rng.random() < density}
+
+
+def _reprs(rows):
+    """``(r, c, repr(v))`` of each row, so that int and real, and -0.0 and
+    0.0, tell apart."""
+    return [(r, c, repr(v)) for r, c, v in rows]
+
+
+def _key_order(entries):
+    """The reference loops' entries as ``(r, c, v)`` rows in key order."""
+    return [(r, c, v) for (r, c), v in sorted(entries.items())]
+
+
+def _matmul_reprs(a, b, semiring):
+    """Whether the kernel's rows are the reference loops' entries in key
+    order, each value down to its ``repr``."""
+    return (_reprs(assoc_matmul(a, b, semiring))
+            == _reprs(_key_order(ref.assoc_matmul(a, b, semiring))))
 
 
 @pytest.mark.parametrize("semiring", sorted(ref.SEMIRINGS))
@@ -468,9 +530,29 @@ def test_matmul_matches_the_reference_loops(semiring):
         a = _entries(rng, rows, mid, atag, rng.random())
         other = mid if rng.random() < 0.8 else ["z1", "z2"]  # disjoint
         b = _entries(rng, other, cols, btag, rng.random())
-        want = ref.assoc_matmul(a, b, semiring)
-        got = assoc_matmul(a, b, semiring)
-        assert list(got.items()) == list(want.items()), (a, b)
+        assert _matmul_reprs(a, b, semiring), (a, b)
+
+
+@pytest.mark.parametrize("semiring", sorted(ref.SEMIRINGS))
+def test_matmul_row_at_a_time_matches_the_reference_loops(semiring):
+    # B rows that share one column list fold in whole; a row with other
+    # columns switches its A row to column-by-column sums
+    rng = random.Random(2701)
+    values = [-0.0, 0.0, 1.5, -2.25, 3.0, -1, 0, 2]  # a -0.0 sum keeps order
+    mid = [f"k{i}" for i in range(5)]
+    cols = [f"c{i}" for i in range(4)]
+    cases = [({}, {}), ({("r", "k0"): 1.5}, {}), ({}, {("k0", "c0"): 2}),
+             ({("r", "k0"): 1.5}, {("k1", "c0"): 2})]  # empty, disjoint
+    for _ in range(60):
+        a = {(r, k): rng.choice(values) for r in ("r1", "r0", "r2")
+             for k in rng.sample(mid, rng.randint(1, 5))}
+        dense = {(k, c): rng.choice(values) for k in mid for c in cols}
+        reordered = {(k, c): dense[(k, c)] for k in mid
+                     for c in rng.sample(cols, len(cols))}
+        ragged = {key: v for key, v in dense.items() if rng.random() < 0.85}
+        cases += [(a, dense), (a, reordered), (a, ragged)]
+    for a, b in cases:
+        assert _matmul_reprs(a, b, semiring), (a, b)
 
 
 @pytest.mark.parametrize("op", ["plus", "min", "max"])
@@ -484,6 +566,5 @@ def test_ewise_matches_the_reference_loops(op):
         b = _entries(rng, rng.sample(keys, rng.randint(0, 5)),
                      keys if rng.random() < 0.7 else ["other"], btag,
                      rng.random())
-        want = ref.assoc_ewise(a, b, op)
-        got = assoc_ewise(a, b, op)
-        assert list(got.items()) == list(want.items()), (a, b)
+        want = _key_order(ref.assoc_ewise(a, b, op))
+        assert _reprs(assoc_ewise(a, b, op)) == _reprs(want), (a, b)

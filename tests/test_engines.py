@@ -10,6 +10,7 @@ import pytest
 
 import generators
 import oracle
+import select_reference
 from polydawg import datagen, sql
 from polydawg.canonical import CanonicalTable, load_cif, save_cif
 from polydawg.engines import base, default_catalog
@@ -391,6 +392,43 @@ def test_assoc_ops_agree_on_kv_and_arr(catalog, engine):
     ]:
         with pytest.raises(error):
             catalog.execute_native(engine, query)
+
+
+@pytest.mark.parametrize("engine", ["kv", "arr"])
+def test_matmul_on_kv_and_arr_gives_the_reference_loops_rows(catalog, engine):
+    # the reference combines terms in the order of the operand's entries,
+    # which both engines hold in key order; int meets real as a real
+    rng = random.Random(2702)
+    keys = [f"k{i}" for i in range(6)]
+
+    def entries(rows, cols, tag):
+        out = {(r, c): (rng.randint(-9, 9) if tag == "int"
+                        else rng.choice([-0.0, round(rng.uniform(-9, 9), 3)]))
+               for r in rows for c in cols if rng.random() < 0.8}
+        return out or {(rows[0], cols[0]): 0 if tag == "int" else -0.0}
+
+    for case in range(12):
+        atag, btag = rng.choice(["int", "real"]), rng.choice(["int", "real"])
+        tag = atag if atag == btag else "real"
+        a = entries(rng.sample(keys, 4), rng.sample(keys, 4), atag)
+        b = entries(rng.sample(keys, 4), rng.sample(keys, 5), btag)
+        load_assoc(catalog, engine, f"A{case}", a, atag)
+        load_assoc(catalog, engine, f"B{case}", b, btag)
+        for semiring in sorted(select_reference.SEMIRINGS):
+            want = select_reference.assoc_matmul(
+                dict(sorted(a.items())), dict(sorted(b.items())), semiring)
+            got = catalog.execute_native(
+                engine, f"MATMUL A{case} B{case} SEMIRING {semiring}")
+            assert got.schema == [("row", "text"), ("col", "text"),
+                                  ("val", tag)]
+            assert [(r, c, repr(v)) for r, c, v in got.rows] == [
+                (r, c, repr(v if tag == atag == btag else float(v)))
+                for (r, c), v in sorted(want.items())], (case, semiring)
+    load_assoc(catalog, engine, "Big", {("a", "b"): 1e308}, "real")
+    load_assoc(catalog, engine, "Ten", {("b", "a"): 10}, "int")
+    with pytest.raises(SchemaError,
+                       match="^non-finite real values are rejected$"):
+        catalog.execute_native(engine, "MATMUL Big Ten")
 
 
 def test_an_arr_assoc_operand_has_no_entry_for_a_null_cell(catalog):

@@ -160,6 +160,18 @@ def test_render_explain_mentions_all_parts(env):
     assert text.count("plan ") == 3
 
 
+def test_explain_shows_a_middleware_cast_in_memory(env):
+    catalog, registry = env
+    resolved = resolve(env, "d4m(transpose(dose_rc))")
+    containers, remainder = decompose(resolved)
+    (p,) = enumerate_plans(containers, remainder, registry, catalog)
+    text = planner.render_explain(
+        containers, remainder, signature_of(remainder, resolved), [p])
+    assert "    - cross-op cast (r0) in memory\n" in text
+    assert "None" not in text
+    assert "cross-op transpose (r1) at rel" in text
+
+
 # Plan ids are the identities stored in the monitor log, so these are
 # pinned: a refactor that changes a plan's steps or chains shows up here.
 CODOSE = ("cast(relational(SELECT patient_id, SUM(dose) AS dose "
